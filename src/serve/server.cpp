@@ -423,7 +423,6 @@ void Server::tuner_main() {
       // stays in tune_keys_ so the same lost cause is never retried.
     }
 
-    bool published = false;
     {
       const std::lock_guard<std::mutex> lock(tune_mu_);
       if (ok) {
@@ -432,13 +431,7 @@ void Server::tuner_main() {
         entry.predicted_seconds = plan.predicted_seconds;
         entry.measured_seconds = plan.measured_seconds;
         entry.algorithm = plan.algorithm;
-        if (options_.live_upgrades) {
-          cache_->insert(job.key, std::move(entry));
-          tune_keys_.erase(job.key.hash);
-          published = true;
-        } else {
-          pending_publish_.push_back(PendingPublish{std::move(job.key), std::move(entry)});
-        }
+        pending_publish_.push_back(PendingPublish{std::move(job.key), std::move(entry)});
       }
       // Record stats BEFORE dropping tune_busy_: a drainer that passes
       // the tune_idle_ barrier must observe this job's counters.
@@ -446,7 +439,6 @@ void Server::tuner_main() {
         const std::lock_guard<std::mutex> slock(stats_mu_);
         if (ok) {
           stats_.tunes_completed += 1;
-          if (published) stats_.tunes_published += 1;
         } else {
           stats_.tunes_failed += 1;
         }
@@ -469,7 +461,7 @@ std::vector<Response> Server::drain() {
   // 2. Epoch tune barrier: every background tune whose cold miss was
   //    served this epoch has completed (their jobs were queued before
   //    the responses that triggered step 1).
-  if (!options_.live_upgrades) {
+  {
     std::unique_lock<std::mutex> lock(tune_mu_);
     tune_idle_.wait(lock,
                     [&] { return (tune_queue_.empty() && !tune_busy_) || tune_closed_; });

@@ -25,11 +25,9 @@
 // into the plan cache at epoch boundaries — drain() joins outstanding
 // tunes, publishes them in completion order, and resets the resolution
 // memo — so repeated epochs of the same traffic see a strictly better
-// cache.  (ServeOptions::live_upgrades publishes the instant a tune
-// finishes instead; faster upgrades, but cache hits then depend on
-// wall-clock tune timing.)
+// cache.
 //
-// Determinism: with live_upgrades off, the response fields (status,
+// Determinism: the response fields (status,
 // plan, cache_hit, simulated_seconds) are a pure function of the
 // admission order and the initial cache state, bit-identical for any
 // `jobs`/`tune_jobs` value: resolution is single-threaded in admission
@@ -74,10 +72,6 @@ struct ServeOptions {
   int tune_jobs = 1;
   /// Max requests drained per serving cycle (0 = everything queued).
   std::size_t max_cycle = 0;
-  /// Publish tuned plans the moment they finish instead of at drain()
-  /// epoch boundaries.  Trades the bit-identical determinism contract
-  /// for earlier cache upgrades.
-  bool live_upgrades = false;
   /// Shared plan cache (not owned; e.g. loaded from an `nct_tune`
   /// store).  Null: the server keeps a private in-memory cache.
   tune::PlanCache* cache = nullptr;
@@ -130,8 +124,7 @@ class Server {
   Admission submit(Request request);
 
   /// Wait until every admitted request has been served, then finish the
-  /// epoch: join outstanding background tunes (unless live_upgrades),
-  /// publish their results into the plan cache, reset the resolution
+  /// epoch: join outstanding background tunes, publish their results into the plan cache, reset the resolution
   /// memo, and return all responses since the previous drain() sorted
   /// by admission id.  Call from a quiesced producer for deterministic
   /// epoch boundaries; concurrent submits are legal and simply land in

@@ -1,8 +1,7 @@
-// The serving determinism contract: with live_upgrades off, the
-// response fields (status, plan, cache_hit, simulated_seconds) are a
-// pure function of (admission order, initial cache state) — bit
-// identical for any jobs/tune_jobs value and any dispatcher cycle
-// partitioning.  Wall-clock latencies and batch occupancy are service
+// The serving determinism contract: the response fields (status,
+// plan, cache_hit, simulated_seconds) are a pure function of
+// (admission order, initial cache state) — bit identical for any
+// jobs/tune_jobs value and any dispatcher cycle partitioning.  Wall-clock latencies and batch occupancy are service
 // measurements and deliberately NOT compared.
 //
 // Seeded from NCT_FUZZ_SEED when set; the seed is embedded in every

@@ -5,7 +5,7 @@
 //   nct_serve [--requests N] [--epochs E] [--tenants T] [--jobs J]
 //             [--tune-jobs J] [--capacity C] [--tenant-share F]
 //             [--lg-min L] [--lg-max L] [--seed S] [--cache FILE]
-//             [--faults] [--live-upgrades] [--metrics]
+//             [--faults] [--metrics]
 //
 // The workload (serve/workload.hpp) is a seeded deterministic mix of
 // machines, layouts and optional fault scenarios.  Requests are split
@@ -43,7 +43,7 @@ int usage() {
                "usage: nct_serve [--requests N] [--epochs E] [--tenants T] [--jobs J]\n"
                "                 [--tune-jobs J] [--capacity C] [--tenant-share F]\n"
                "                 [--lg-min L] [--lg-max L] [--seed S] [--cache FILE]\n"
-               "                 [--faults] [--live-upgrades] [--metrics]\n");
+               "                 [--faults] [--metrics]\n");
   return 2;
 }
 
@@ -60,7 +60,6 @@ struct Args {
   std::uint64_t seed = 1;
   std::string cache_path;
   bool faults = false;
-  bool live_upgrades = false;
   bool metrics = false;
 };
 
@@ -110,8 +109,6 @@ bool parse(int argc, char** argv, Args& a) {
       a.cache_path = v;
     } else if (s == "--faults") {
       a.faults = true;
-    } else if (s == "--live-upgrades") {
-      a.live_upgrades = true;
     } else if (s == "--metrics") {
       a.metrics = true;
     } else {
@@ -147,7 +144,6 @@ int main(int argc, char** argv) {
   opt.tenant_share = a.tenant_share;
   opt.jobs = a.jobs;
   opt.tune_jobs = a.tune_jobs;
-  opt.live_upgrades = a.live_upgrades;
   opt.cache = &cache;
   serve::Server server(opt);
 
