@@ -93,7 +93,7 @@ inline void parse_sweep_args(int& argc, char** argv) {
 }
 
 /// Run a program from an initial memory, returning the full result
-/// (interpreted engine; moves real payloads).
+/// (data mode: compile + run; moves real payloads).
 inline sim::RunResult simulate(const sim::Program& prog, const sim::MachineParams& machine,
                                sim::Memory initial) {
   return sim::Engine(machine).run(prog, std::move(initial));

@@ -5,8 +5,8 @@
 //
 //   * Plan          - planner cost (program construction);
 //   * Compile       - sim::compile() flattening + validation cost;
-//   * Interpreted   - Engine::run(Program, Memory), the reference path;
-//   * CompiledData  - Engine::run(CompiledProgram, Memory);
+//   * CompiledData  - Engine::run(CompiledProgram, Memory) (data mode;
+//                     Engine::run(Program, Memory) is Compile + this);
 //   * TimingOnly    - Engine::run_timing(CompiledProgram);
 //   * TimingBatch   - Engine::run_timing_batch over 32 runs, reusing one
 //                     BatchScratch (zero steady-state allocations;
@@ -139,18 +139,6 @@ void BM_Compile(benchmark::State& state) {
 }
 BENCHMARK(BM_Compile)->DenseRange(0, kWorkloads - 1);
 
-void BM_Interpreted(benchmark::State& state) {
-  const Workload& w = workload(static_cast<int>(state.range(0)));
-  const sim::Engine engine(w.machine);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(w.program, w.init).total_time);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(total_packets(sim::compile(w.program, w.machine))));
-}
-BENCHMARK(BM_Interpreted)->DenseRange(0, kWorkloads - 1);
-
 void BM_CompiledData(benchmark::State& state) {
   const Workload& w = workload(static_cast<int>(state.range(0)));
   const auto compiled = sim::compile(w.program, w.machine);
@@ -210,8 +198,7 @@ double stage_seconds(Fn fn, int reps = 5) {
 void print_series() {
   const int jobs = bench::sweep_jobs();
   constexpr std::size_t kBatch = 32;
-  bench::Table t({"workload", "packets", "compile_ms", "interpreted_ms",
-                  "compiled_data_ms", "timing_only_ms", "timing_pkts_per_s",
+  bench::Table t({"workload", "packets", "compile_ms", "compiled_data_ms", "timing_only_ms", "timing_pkts_per_s",
                   "batch32_ms", "batch32_pkts_per_s"});
   for (int which = 0; which < kWorkloads; ++which) {
     Workload& w = workload(which);
@@ -219,7 +206,6 @@ void print_series() {
     const auto compiled = sim::compile(w.program, w.machine);
     const std::size_t packets = total_packets(compiled);
     const double c = stage_seconds([&] { sim::compile(w.program, w.machine); });
-    const double interp = stage_seconds([&] { engine.run(w.program, w.init); });
     const double data = stage_seconds([&] { engine.run(compiled, w.init); });
     const double timing = stage_seconds([&] { engine.run_timing(compiled); });
     const std::vector<const sim::CompiledProgram*> programs(kBatch, &compiled);
@@ -227,8 +213,8 @@ void print_series() {
     engine.run_timing_batch(programs, batch, jobs);  // warm the arenas
     const double batched =
         stage_seconds([&] { engine.run_timing_batch(programs, batch, jobs); });
-    t.row({w.name, std::to_string(packets), bench::ms(c), bench::ms(interp),
-           bench::ms(data), bench::ms(timing),
+    t.row({w.name, std::to_string(packets), bench::ms(c), bench::ms(data),
+           bench::ms(timing),
            bench::num(static_cast<double>(packets) / timing, 0),
            bench::ms(batched),
            bench::num(static_cast<double>(packets * kBatch) / batched, 0)});

@@ -17,7 +17,7 @@
 //
 // The google-benchmark cases measure the wall-clock cost of one full
 // verified pipeline run (plan + execute + per-stage placement checks)
-// on the interpreted and timing paths.
+// on the compiled data-mode and timing paths.
 #include <chrono>
 #include <memory>
 #include <string>

@@ -206,13 +206,6 @@ PipelineResult Pipeline::run(sim::Memory current, const PipelineOptions& options
         if (options.trace != nullptr && options.path != ExecPath::threads)
           eopt.trace = &stage_trace;
         switch (options.path) {
-          case ExecPath::interpreted: {
-            const sim::Engine engine(machine_, eopt);
-            sim::RunResult r = engine.run(program, std::move(current));
-            report.seconds = r.total_time;
-            current = std::move(r.memory);
-            break;
-          }
           case ExecPath::compiled: {
             const sim::Engine engine(machine_, eopt);
             const sim::CompiledProgram compiled = sim::compile(program, machine_);

@@ -11,8 +11,8 @@
 // declares, as a pure function of its entry memory image, the exact exit
 // image (which element id sits in which slot of which node).  The
 // pipeline verifies the contract after every stage, on every execution
-// path — interpreted, compiled data-mode, timing-only (via apply_data)
-// and the threaded runtime — so a kernel that completes has *proven*
+// path — compiled data-mode, timing-only (via apply_data) and the
+// threaded runtime — so a kernel that completes has *proven*
 // where every element of A, B and C lives at every stage boundary.
 // Compute stages additionally refuse to run unless the ids their
 // schedule needs are actually present, which is what makes the final
@@ -142,15 +142,15 @@ class MoveStage final : public Stage {
   MoveStageSpec spec_;
 };
 
-/// Which execution substrate runs the comm stages.  All four agree
+/// Which execution substrate runs the comm stages.  All three agree
 /// bit-identically on the final memory image; `timing` additionally
 /// reports simulated seconds without moving payloads (placement advances
 /// via sim::apply_data), and `threads` runs real message-passing threads
 /// (no simulated clock, so stage seconds read 0).
-enum class ExecPath { interpreted, compiled, timing, threads };
+enum class ExecPath { compiled, timing, threads };
 
 struct PipelineOptions {
-  ExecPath path = ExecPath::interpreted;
+  ExecPath path = ExecPath::compiled;
   /// Fault scenario (not owned).  Routed/ring stages plan detours around
   /// permanent link faults via fault::route_around; a stage whose plan
   /// cannot avoid the faults (severed node, exchange family) raises

@@ -200,28 +200,50 @@ void assert_one_port(const TraceSink& trace, const topo::Topology& t) {
   if (!r.ok) throw ConformanceError("one-port serialisation violated: " + r.message);
 }
 
+namespace {
+
+/// Add the busy interval of hop `e` to a +1/-1 endpoint sweep.
+void add_interval(std::vector<std::pair<double, int>>& sw, const TraceEvent& e) {
+  sw.emplace_back(e.t0, +1);
+  sw.emplace_back(e.t1, -1);
+}
+
+/// Largest number of simultaneously open intervals of a sweep; an
+/// interval ending exactly where another starts does not overlap it.
+int sweep_peak(std::vector<std::pair<double, int>>& sw) {
+  std::sort(sw.begin(), sw.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first || (a.first == b.first && a.second < b.second);
+  });
+  int depth = 0, mx = 0;
+  for (const auto& [t, delta] : sw) {
+    (void)t;
+    depth += delta;
+    mx = std::max(mx, depth);
+  }
+  return mx;
+}
+
+}  // namespace
+
 std::vector<int> peak_concurrent_out_ports(const TraceSink& trace) {
   std::vector<int> peak(static_cast<std::size_t>(trace.nodes()), 0);
   std::map<word, std::vector<std::pair<double, int>>> sweeps;
-  for (const TraceEvent& e : trace.events()) {
-    if (e.kind != EventKind::hop) continue;
-    auto& sw = sweeps[e.node];
-    sw.emplace_back(e.t0, +1);
-    sw.emplace_back(e.t1, -1);
-  }
-  for (auto& [node, sw] : sweeps) {
-    std::sort(sw.begin(), sw.end(), [](const auto& a, const auto& b) {
-      return a.first < b.first || (a.first == b.first && a.second < b.second);
-    });
-    int depth = 0, mx = 0;
-    for (const auto& [t, delta] : sw) {
-      (void)t;
-      depth += delta;
-      mx = std::max(mx, depth);
-    }
-    if (node < trace.nodes()) peak[static_cast<std::size_t>(node)] = mx;
-  }
+  for (const TraceEvent& e : trace.events())
+    if (e.kind == EventKind::hop) add_interval(sweeps[e.node], e);
+  for (auto& [node, sw] : sweeps)
+    if (node < trace.nodes()) peak[static_cast<std::size_t>(node)] = sweep_peak(sw);
   return peak;
+}
+
+std::size_t peak_link_overlap(const TraceSink& trace) {
+  const auto ports = static_cast<word>(std::max(trace.dimensions(), 1));
+  std::map<word, std::vector<std::pair<double, int>>> sweeps;
+  for (const TraceEvent& e : trace.events())
+    if (e.kind == EventKind::hop)
+      add_interval(sweeps[e.node * ports + static_cast<word>(e.dim)], e);
+  int peak = 0;
+  for (auto& [link, sw] : sweeps) peak = std::max(peak, sweep_peak(sw));
+  return static_cast<std::size_t>(peak);
 }
 
 double CriticalPath::wire_time() const noexcept {

@@ -92,6 +92,14 @@ void assert_one_port(const TraceSink& trace, const topo::Topology& t);
 /// (derived from hop events).  Index is the node id.
 std::vector<int> peak_concurrent_out_ports(const TraceSink& trace);
 
+/// Peak concurrent use of any directed link: the largest number of
+/// overlapping hop busy intervals [t0, t1] on one link (node * ports +
+/// dim, ports == trace.dimensions()).  Touching intervals do not
+/// overlap, so a plan whose messages never share a link at the same
+/// time — edge-disjoint SPT/MPT paths — peaks at 1; 0 for a trace
+/// without hops.
+std::size_t peak_link_overlap(const TraceSink& trace);
+
 /// One segment of a critical path: wire time on a link, or a stall.
 struct CriticalSegment {
   enum class Kind { wire, link_wait, port_wait } kind = Kind::wire;

@@ -3,10 +3,11 @@
 // A TraceSink collects typed events with simulated timestamps as the
 // engine executes a program: message injection and arrival, every link
 // traversal, one-port send/receive serialisation waits, charged local
-// copies and staging, and phase barriers.  Both the interpreted and the
-// compiled engine paths (including timing-only mode) emit the *same*
-// event stream for the same program — the compile golden tests assert
-// exact equality — so traces are cheap to produce at sweep scale.
+// copies and staging, and phase barriers.  Data mode, timing-only mode
+// and the sharded engine emit the *same* event stream for the same
+// program — the golden tests pin it byte for byte — so traces are cheap
+// to produce at sweep scale.  Hop events are also the link-occupancy
+// record: obs::peak_link_overlap reads them.
 //
 // A trace can be exported as Chrome `chrome://tracing` / Perfetto JSON
 // (one track per node, one per directed link) or as a compact binary

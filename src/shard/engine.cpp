@@ -23,14 +23,6 @@ bool ev_less(double r1, std::uint32_t p1, double r2, std::uint32_t p2) noexcept 
   return r1 != r2 ? r1 < r2 : p1 < p2;
 }
 
-/// Same timing-relevant comparison as the single-thread path
-/// (sim/compile.cpp): stale precomputed costs would silently diverge.
-bool same_machine(const sim::MachineParams& a, const sim::MachineParams& b) noexcept {
-  return a.n == b.n && a.tau == b.tau && a.tc == b.tc && a.tcopy == b.tcopy &&
-         a.max_packet_bytes == b.max_packet_bytes && a.element_bytes == b.element_bytes &&
-         a.port == b.port && a.switching == b.switching && a.topology == b.topology;
-}
-
 /// Control state the coordinator publishes between barriers.  Plain
 /// (non-atomic) fields: every write happens strictly before a barrier
 /// that every reader passes through.
@@ -47,56 +39,28 @@ template <bool kTrace, bool kLean>
 void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& options,
                  const sim::CompiledProgram& cp, const topo::Partition& part,
                  ShardScratch& ss, sim::RunResult& out, ShardStats* stats_out) {
-  const word nnodes = cp.nodes();
   const int ports = cp.ports();
   const std::uint32_t nshards = part.shards;
 
   obs::TraceSink* const sink = options.trace;
-  if constexpr (kTrace) {
-    if (params.topology.is_cube()) {
-      sink->begin_run(params.n);
-    } else {
-      sink->begin_run_topology(nnodes, ports);
-    }
-  }
-
-  if (options.faults && !options.faults->empty() &&
-      (options.faults->dimensions() != ports ||
-       options.faults->topology_id() != params.topology))
-    throw sim::ProgramError("fault model / machine dimension mismatch");
-  sim::detail::FaultGate gate{
-      options.faults && !options.faults->empty() ? options.faults : nullptr,
-      options.retry, kTrace ? sink : nullptr, ports, &cp.topology(), 0, 0.0};
+  // Shared big arrays: compact link state, dense node state — exactly
+  // the single-thread scratch, reset the same way.
+  sim::RunScratch& base = ss.base;
+  sim::detail::FaultGate gate;
+  const sim::detail::ExecEnv env =
+      sim::detail::begin_run<kTrace>(params, options, cp, base, out, gate);
+  out.memory.clear();
 
   const auto& phases = cp.phases();
   const auto& sends = cp.send_ops();
   const auto& copies = cp.copy_ops();
   const auto& stages = cp.stage_ops();
-  const std::uint32_t* const link_pool = cp.link_pool().data();
-  const std::uint32_t* const link_global = cp.active_links().data();
+  const std::uint32_t* const link_pool = env.link_pool;
+  const std::uint32_t* const link_global = env.link_global;
   const std::uint32_t* const node_owner = part.owner.data();
-
-  // Shared big arrays: compact link state, dense node state — exactly
-  // the single-thread scratch, reset the same way.
-  sim::RunScratch& base = ss.base;
   const std::size_t nactive = cp.active_links().size();
-  base.ensure(static_cast<std::size_t>(nnodes), nactive, cp.max_phase_sends());
-  double* const link_free = base.link_free.data();
-  double* const link_busy_total = base.link_busy_total.data();
-  double* const send_free = base.send_free.data();
-  double* const recv_free = base.recv_free.data();
   double* const node_done = base.node_done.data();
-  std::uint32_t* const pkt_hop = base.pkt_hop.data();
-  for (std::size_t ci = 0; ci < nactive; ++ci) {
-    link_free[ci] = 0.0;
-    link_busy_total[ci] = 0.0;
-  }
-  for (const word x : cp.active_nodes()) {
-    const auto xi = static_cast<std::size_t>(x);
-    send_free[xi] = 0.0;
-    recv_free[xi] = 0.0;
-    node_done[xi] = 0.0;
-  }
+  std::uint32_t* const pkt_hop = env.pkt_hop;
 
   // Ownership tables: a directed link belongs to its source node's
   // shard; a link with any fault window or degrade factor routes its
@@ -128,43 +92,8 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
     sh.events = 0;
   }
 
-  out.total_time = 0.0;
-  out.total_copy_time = 0.0;
-  out.phases.resize(phases.size());
-  out.total_sends = 0;
-  out.total_elements = 0;
-  out.total_hops = 0;
-  out.max_link_busy = 0.0;
-  out.total_reroutes = 0;
-  out.total_retries = 0;
-  out.total_fault_wait = 0.0;
-  out.memory.clear();
-  if (options.record_link_trace) {
-    out.link_trace.assign(
-        static_cast<std::size_t>(nnodes) * static_cast<std::size_t>(std::max(ports, 1)), {});
-  } else {
-    out.link_trace.clear();
-  }
-
-  const bool one_port = params.port == sim::PortModel::one_port;
+  const bool one_port = env.one_port;
   const bool cut_through = params.switching == sim::Switching::cut_through;
-
-  sim::detail::ExecEnv env;
-  env.sends = sends.data();
-  env.link_pool = link_pool;
-  env.link_global = link_global;
-  env.topology = &cp.topology();
-  env.params = &params;
-  env.ports = ports;
-  env.one_port = one_port;
-  env.link_free = link_free;
-  env.link_busy_total = link_busy_total;
-  env.send_free = send_free;
-  env.recv_free = recv_free;
-  env.pkt_hop = pkt_hop;
-  env.sink = sink;
-  env.gate = &gate;
-  env.link_trace = !kLean && options.record_link_trace ? &out.link_trace : nullptr;
 
   Shared shared;
   std::atomic<bool> abort{false};
@@ -474,13 +403,7 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
     std::rethrow_exception(error);
   }
 
-  out.total_time = shared.clock;
-  out.total_retries = gate.retries;
-  out.total_fault_wait = gate.down_wait;
-  double max_busy = 0.0;
-  for (std::size_t ci = 0; ci < nactive; ++ci)
-    max_busy = std::max(max_busy, link_busy_total[ci]);
-  out.max_link_busy = max_busy;
+  sim::detail::end_run(env, cp, shared.clock, out);
 
   if (stats_out) {
     stats_out->shards = nshards;
@@ -521,7 +444,7 @@ sim::RunResult ShardEngine::run_timing(const sim::CompiledProgram& compiled,
 void ShardEngine::run_timing(const sim::CompiledProgram& compiled,
                              const topo::Partition& partition, ShardScratch& scratch,
                              sim::RunResult& out, ShardStats* stats) const {
-  if (!same_machine(compiled.machine(), params_))
+  if (!sim::detail::same_machine(compiled.machine(), params_))
     throw sim::ProgramError("compiled program / shard engine machine mismatch");
   if (partition.shards < 1 ||
       partition.owner.size() != static_cast<std::size_t>(compiled.nodes()))
@@ -531,8 +454,7 @@ void ShardEngine::run_timing(const sim::CompiledProgram& compiled,
 
   if (options_.trace) {
     run_sharded<true, false>(params_, options_, compiled, partition, scratch, out, stats);
-  } else if (options_.record_link_trace ||
-             (options_.faults && !options_.faults->empty())) {
+  } else if (options_.faults && !options_.faults->empty()) {
     run_sharded<false, false>(params_, options_, compiled, partition, scratch, out, stats);
   } else {
     run_sharded<false, true>(params_, options_, compiled, partition, scratch, out, stats);

@@ -26,131 +26,43 @@ std::string node_slot_str(word node, slot s) {
   throw ProgramError(std::string(what) + node_slot_str(node, s));
 }
 
-/// Timing-relevant machine parameters must match between compile time and
-/// run time or the precomputed costs are stale.
-bool same_machine(const MachineParams& a, const MachineParams& b) noexcept {
-  return a.n == b.n && a.tau == b.tau && a.tc == b.tc && a.tcopy == b.tcopy &&
-         a.max_packet_bytes == b.max_packet_bytes && a.element_bytes == b.element_bytes &&
-         a.port == b.port && a.switching == b.switching && a.topology == b.topology;
-}
-
-/// Shared executor for data mode and timing-only mode, writing into a
+/// The executor, in data mode or timing-only mode, writing into a
 /// caller-owned result so batch runs reuse its storage.  All mutable
 /// run state lives in `scratch` and is reset O(active links + nodes)
-/// per run; the per-phase barrier resets of the original implementation
-/// are gone entirely, because every availability read is of the form
-/// max(x, value) with x >= the phase start time, so a stale entry from
-/// an earlier phase (always <= that phase's end <= the current phase
-/// start) can never influence a time.  The event queue is the calendar
-/// queue of scratch.hpp, which pops in exactly the binary-heap order
-/// (ascending ready time, ties on global injection sequence), keeping
-/// all simulated times bit-identical to the interpreted path.
+/// per run; there is no per-phase barrier reset, because every
+/// availability read is of the form max(x, value) with x >= the phase
+/// start time, so a stale entry from an earlier phase (always <= that
+/// phase's end <= the current phase start) can never influence a time.
+/// The event queue is the calendar queue of scratch.hpp, which pops in
+/// ascending ready time with ties on the global injection sequence —
+/// the order that fixes every simulated time.
 ///
 /// `kTrace` compiles the event-sink calls out of the hot loops, and
-/// `kLean` (no sink, no link trace, no fault model) additionally strips
-/// the per-event instrumentation and fault branches entirely: the
-/// sweep/tuner path runs pure availability arithmetic.
+/// `kLean` (no sink, no fault model) additionally strips the fault
+/// branches entirely: the sweep/tuner path runs pure availability
+/// arithmetic.
 template <bool kData, bool kTrace, bool kLean>
 void run_compiled_into(const MachineParams& params, const EngineOptions& options,
                        const CompiledProgram& cp, RunScratch& scratch, RunResult& out) {
-  const word nnodes = cp.nodes();
-  const int ports = cp.ports();
-
   obs::TraceSink* const sink = options.trace;
-  if constexpr (kTrace) {
-    if (params.topology.is_cube()) {
-      sink->begin_run(params.n);
-    } else {
-      sink->begin_run_topology(nnodes, ports);
-    }
+  detail::FaultGate gate;
+  const detail::ExecEnv env = detail::begin_run<kTrace>(params, options, cp, scratch, out, gate);
+  scratch.queue.clear();  // no-op unless a faulted run aborted mid-phase
+  if constexpr (kData) {
+    if (scratch.payload.size() < cp.max_phase_payload())
+      scratch.payload.resize(cp.max_phase_payload());
+  } else {
+    out.memory.clear();
   }
-
-  // Same empty-model drop as the interpreted path: healthy runs execute
-  // exactly the pre-fault arithmetic.
-  if (options.faults && !options.faults->empty() &&
-      (options.faults->dimensions() != ports ||
-       options.faults->topology_id() != params.topology))
-    throw ProgramError("fault model / machine dimension mismatch");
-  detail::FaultGate gate{options.faults && !options.faults->empty() ? options.faults : nullptr,
-                         options.retry, kTrace ? sink : nullptr, ports, &cp.topology(),
-                         0, 0.0};
 
   const auto& phases = cp.phases();
   const auto& sends = cp.send_ops();
   const auto& copies = cp.copy_ops();
   const auto& stages = cp.stage_ops();
   const auto& slot_pool = cp.slot_pool();
-  const auto& link_pool = cp.link_pool();
-
-  // Link state is compact: one slot per *active* link, not per wired
-  // port of the machine, so a 20-cube transpose allocates for the links
-  // it uses rather than 2^20 x 20 dense tables.
-  const std::size_t nactive = cp.active_links().size();
-  scratch.ensure(static_cast<std::size_t>(nnodes), nactive, cp.max_phase_sends());
-  scratch.queue.clear();  // no-op unless a faulted run aborted mid-phase
-  double* const link_free = scratch.link_free.data();
-  double* const link_busy_total = scratch.link_busy_total.data();
-  double* const send_free = scratch.send_free.data();
-  double* const recv_free = scratch.recv_free.data();
   double* const node_done = scratch.node_done.data();
-  std::uint32_t* const pkt_hop = scratch.pkt_hop.data();
-  for (std::size_t ci = 0; ci < nactive; ++ci) {
-    link_free[ci] = 0.0;
-    link_busy_total[ci] = 0.0;
-  }
-  for (const word x : cp.active_nodes()) {
-    const auto xi = static_cast<std::size_t>(x);
-    send_free[xi] = 0.0;
-    recv_free[xi] = 0.0;
-    node_done[xi] = 0.0;
-  }
-
-  out.total_time = 0.0;
-  out.total_copy_time = 0.0;
-  out.phases.resize(phases.size());
-  out.total_sends = 0;
-  out.total_elements = 0;
-  out.total_hops = 0;
-  out.max_link_busy = 0.0;
-  out.total_reroutes = 0;
-  out.total_retries = 0;
-  out.total_fault_wait = 0.0;
-  if constexpr (!kData) out.memory.clear();
-  if (options.record_link_trace) {
-    // The public link_trace stays indexed by global topo::link_index
-    // (it is opt-in and meant for machines small enough to inspect).
-    out.link_trace.assign(
-        static_cast<std::size_t>(nnodes) * static_cast<std::size_t>(std::max(ports, 1)), {});
-  } else {
-    out.link_trace.clear();
-  }
-
-  if constexpr (kData) {
-    if (scratch.payload.size() < cp.max_phase_payload())
-      scratch.payload.resize(cp.max_phase_payload());
-  }
-
-  const bool one_port = params.port == PortModel::one_port;
+  std::uint32_t* const pkt_hop = env.pkt_hop;
   const bool cut_through = params.switching == Switching::cut_through;
-
-  // The per-event arithmetic lives in exec_step.hpp, shared with the
-  // sharded engine (bit-identity by construction, not by re-derivation).
-  detail::ExecEnv env;
-  env.sends = sends.data();
-  env.link_pool = link_pool.data();
-  env.link_global = cp.active_links().data();
-  env.topology = &cp.topology();
-  env.params = &params;
-  env.ports = ports;
-  env.one_port = one_port;
-  env.link_free = link_free;
-  env.link_busy_total = link_busy_total;
-  env.send_free = send_free;
-  env.recv_free = recv_free;
-  env.pkt_hop = pkt_hop;
-  env.sink = sink;
-  env.gate = &gate;
-  env.link_trace = !kLean && options.record_link_trace ? &out.link_trace : nullptr;
 
   double clock = 0.0;
   std::uint64_t global_seq = 0;
@@ -217,8 +129,8 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
       charge(stages[i].node, stages[i].cost, stages[i].bytes, true);
 
     // 3. Data movement.  Reading every payload before emptying any source
-    // slot reproduces the interpreted engine's snapshot semantics without
-    // copying the whole memory image.
+    // slot gives every send the memory as of the start of this step
+    // without copying the whole memory image.
     if constexpr (kData) {
       Memory& mem = out.memory;
       word* const payload = scratch.payload.data();
@@ -252,8 +164,8 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
     // 4. Timing: event-driven with link and port contention.  Packets
     // are identified by their injection index within the phase (pid);
     // the global sequence number used for tie-breaks and trace events
-    // is seq_base + pid, exactly the order the heap-based executor
-    // assigned.
+    // is seq_base + pid: sends are numbered in program order across the
+    // whole run.
     const std::uint32_t nsends = ph.send_end - ph.send_begin;
     const std::uint64_t seq_base = global_seq;
     global_seq += nsends;
@@ -314,13 +226,7 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
     // read below clamps against a value >= the next phase's start.
   }
 
-  out.total_time = clock;
-  out.total_retries = gate.retries;
-  out.total_fault_wait = gate.down_wait;
-  double max_busy = 0.0;
-  for (std::size_t ci = 0; ci < nactive; ++ci)
-    max_busy = std::max(max_busy, link_busy_total[ci]);
-  out.max_link_busy = max_busy;
+  detail::end_run(env, cp, clock, out);
 }
 
 template <bool kData>
@@ -328,8 +234,7 @@ void run_compiled(const MachineParams& params, const EngineOptions& options,
                   const CompiledProgram& cp, RunScratch& scratch, RunResult& out) {
   if (options.trace) {
     run_compiled_into<kData, true, false>(params, options, cp, scratch, out);
-  } else if (options.record_link_trace ||
-             (options.faults && !options.faults->empty())) {
+  } else if (options.faults && !options.faults->empty()) {
     run_compiled_into<kData, false, false>(params, options, cp, scratch, out);
   } else {
     run_compiled_into<kData, false, true>(params, options, cp, scratch, out);
@@ -579,7 +484,7 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
 }
 
 RunResult Engine::run(const CompiledProgram& compiled, Memory initial) const {
-  if (!same_machine(compiled.machine(), params_))
+  if (!detail::same_machine(compiled.machine(), params_))
     throw ProgramError("compiled program / engine machine mismatch");
   if (initial.size() != compiled.nodes())
     throw ProgramError("initial memory has wrong node count");
@@ -601,7 +506,7 @@ RunResult Engine::run_timing(const CompiledProgram& compiled) const {
 
 void Engine::run_timing(const CompiledProgram& compiled, RunScratch& scratch,
                         RunResult& out) const {
-  if (!same_machine(compiled.machine(), params_))
+  if (!detail::same_machine(compiled.machine(), params_))
     throw ProgramError("compiled program / engine machine mismatch");
   run_compiled<false>(params_, options_, compiled, scratch, out);
 }

@@ -1,33 +1,30 @@
 // Program compilation: flatten a phased communication Program into
 // contiguous structure-of-arrays pools, validated once against a fixed
-// machine, so execution sheds the per-op pointer chasing and the
-// bounds/ProgramError checks of the interpreted path.
+// machine.  This is the only way a Program executes: Engine::run(Program,
+// Memory) is compile() followed by a data-mode run.
 //
-// The interpreted `Engine::run(Program, Memory)` walks `SendOp`/`CopyOp`
-// records whose slot lists and routes are per-op heap-allocated vectors,
-// and re-validates every operand on every run.  `compile()` performs that
-// walk exactly once:
+// A Program's `SendOp`/`CopyOp` records hold per-op heap-allocated slot
+// lists and routes.  `compile()` walks them exactly once:
 //
 //  * all slot lists are packed into one slot pool, all routes into one
 //    pool of precomputed directed-link indices (`topo::link_index`), with
 //    per-op {offset, length} records;
 //  * destination nodes, per-hop store-and-forward times, cut-through
 //    serialisation times and copy/staging charges are precomputed for the
-//    given `MachineParams` with the same expressions the engine uses, so
-//    simulated times are bit-identical to the interpreted path;
-//  * every structural property the engine would raise `ProgramError` for
-//    (operand ranges, route dimensions, slot-count mismatches, double
-//    delivery within a phase) is checked here, once.  Only the
-//    data-dependent "read of an empty slot" check remains at run time,
-//    and only in data mode.
+//    given `MachineParams`, so a run only adds and compares doubles;
+//  * every structural property that raises `ProgramError` (operand
+//    ranges, route dimensions, slot-count mismatches, double delivery
+//    within a phase) is checked here, once, for the whole program before
+//    any phase executes.  Only the data-dependent "read of an empty
+//    slot" check remains at run time, and only in data mode.
 //
 // Execution of a compiled program comes in two modes (see engine.hpp):
 //  * data mode — `Engine::run(compiled, initial)` moves payloads and
-//    produces the same `RunResult` (times, stats, final memory) as the
-//    interpreted engine;
-//  * timing-only mode — `Engine::run_timing(compiled)` computes times and
-//    stats without touching any memory image, for parameter sweeps whose
-//    data correctness was already established by a data-mode run.
+//    returns times, stats and the final memory;
+//  * timing-only mode — `Engine::run_timing(compiled)` computes the same
+//    times, stats and event stream without touching any memory image,
+//    for parameter sweeps whose data correctness was already established
+//    by a data-mode run.
 #pragma once
 
 #include <cstdint>
@@ -181,8 +178,8 @@ class CompiledProgram {
 };
 
 /// One-pass compile of `program` against `machine`.  Throws ProgramError
-/// on any structural violation the interpreted engine would detect
-/// (including double delivery, which is data-independent).
+/// on any structural violation (including double delivery, which is
+/// data-independent).
 CompiledProgram compile(const Program& program, const MachineParams& machine);
 
 }  // namespace nct::sim

@@ -1,414 +1,17 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cstdint>
 #include <cstdio>
-#include <queue>
+#include <utility>
 
-#include "sim/fault_gate.hpp"
+#include "sim/compile.hpp"
 
 namespace nct::sim {
-
-namespace {
-
-// Error-message formatting is kept out of line and ostringstream-free so
-// the hot validation checks pay nothing until a throw actually happens.
-std::string slot_str(word node, slot s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "node %llu slot %llu",
-                static_cast<unsigned long long>(node),
-                static_cast<unsigned long long>(s));
-  return buf;
-}
-
-[[noreturn]] void fail_slot(const char* what, word node, slot s) {
-  throw ProgramError(std::string(what) + slot_str(node, s));
-}
-
-/// A message in flight.
-struct Packet {
-  const SendOp* op = nullptr;
-  std::size_t seq = 0;     ///< global injection order (determinism tie-break).
-  std::size_t hop = 0;     ///< next hop index into op->route.
-  word at = 0;             ///< current node.
-  double ready = 0.0;      ///< earliest time the next hop may begin.
-};
-
-struct PacketOrder {
-  bool operator()(const Packet& a, const Packet& b) const {
-    if (a.ready != b.ready) return a.ready > b.ready;  // min-heap on time
-    if (a.seq != b.seq) return a.seq > b.seq;
-    return a.hop > b.hop;
-  }
-};
-
-}  // namespace
 
 Engine::Engine(MachineParams params, EngineOptions options)
     : params_(params), options_(options) {}
 
 RunResult Engine::run(const Program& program, Memory initial) const {
-  if (program.n != params_.n) throw ProgramError("program/machine dimension mismatch");
-  if (program.topology != params_.topology)
-    throw ProgramError("program/machine topology mismatch");
-  const word nnodes = program.nodes();
-  if (initial.size() != nnodes) throw ProgramError("initial memory has wrong node count");
-  for (const auto& m : initial) {
-    if (m.size() != program.local_slots) throw ProgramError("node memory has wrong slot count");
-  }
-
-  const auto topology = topo::make_topology(params_.topology, params_.n);
-  const int ports = topology->ports();
-
-  RunResult result;
-  result.memory = std::move(initial);
-  Memory& mem = result.memory;
-
-  obs::TraceSink* const sink = options_.trace;
-  if (sink) {
-    if (params_.topology.is_cube()) {
-      sink->begin_run(params_.n);
-    } else {
-      sink->begin_run_topology(nnodes, ports);
-    }
-  }
-
-  // An empty fault model is dropped here so the healthy path stays
-  // arithmetic-for-arithmetic identical to a run without the option.
-  if (options_.faults && !options_.faults->empty() &&
-      (options_.faults->dimensions() != ports ||
-       options_.faults->topology_id() != params_.topology))
-    throw ProgramError("fault model / machine dimension mismatch");
-  detail::FaultGate gate{
-      options_.faults && !options_.faults->empty() ? options_.faults : nullptr,
-      options_.retry, sink, ports, topology.get(), 0, 0.0};
-
-  const std::size_t nlinks =
-      static_cast<std::size_t>(nnodes) * static_cast<std::size_t>(std::max(ports, 1));
-  std::vector<double> link_free(nlinks, 0.0);
-  std::vector<double> link_busy_total(nlinks, 0.0);
-  std::vector<double> send_free(static_cast<std::size_t>(nnodes), 0.0);
-  std::vector<double> recv_free(static_cast<std::size_t>(nnodes), 0.0);
-  if (options_.record_link_trace) result.link_trace.resize(nlinks);
-
-  double clock = 0.0;
-  std::size_t global_seq = 0;
-
-  std::vector<double> node_done(static_cast<std::size_t>(nnodes), 0.0);
-
-  // Epoch-stamped double-delivery map, shared by all phases: one flat
-  // allocation per run instead of a vector<vector<bool>> per phase.
-  std::vector<std::uint32_t> delivered(
-      static_cast<std::size_t>(nnodes) * static_cast<std::size_t>(program.local_slots), 0);
-  std::uint32_t delivery_epoch = 0;
-  result.phases.reserve(program.phases.size());
-
-  auto apply_copy = [&](const CopyOp& op) {
-    if (op.src_slots.size() != op.dst_slots.size())
-      throw ProgramError("copy op slot count mismatch");
-    if (op.node >= nnodes) throw ProgramError("copy op node out of range");
-    auto& local = mem[static_cast<std::size_t>(op.node)];
-    std::vector<word> values(op.src_slots.size());
-    for (std::size_t i = 0; i < op.src_slots.size(); ++i) {
-      if (op.src_slots[i] >= local.size()) throw ProgramError("copy src slot out of range");
-      values[i] = local[static_cast<std::size_t>(op.src_slots[i])];
-      if (values[i] == kEmptySlot) fail_slot("copy reads empty ", op.node, op.src_slots[i]);
-    }
-    for (std::size_t i = 0; i < op.src_slots.size(); ++i)
-      local[static_cast<std::size_t>(op.src_slots[i])] = kEmptySlot;
-    for (std::size_t i = 0; i < op.dst_slots.size(); ++i) {
-      if (op.dst_slots[i] >= local.size()) throw ProgramError("copy dst slot out of range");
-      local[static_cast<std::size_t>(op.dst_slots[i])] = values[i];
-    }
-  };
-
-  std::int32_t phase_index = -1;
-  for (const Phase& phase : program.phases) {
-    ++phase_index;
-    PhaseStats stats;
-    stats.label = phase.label;
-    stats.start = clock;
-    if (sink) sink->phase_begin(phase_index, phase.label, clock);
-
-    std::fill(node_done.begin(), node_done.end(), clock);
-
-    // 1. Pre-copies (live memory, per-op atomic, ordered).
-    for (const CopyOp& op : phase.pre_copies) {
-      apply_copy(op);
-      if (op.charged) {
-        const double cost =
-            static_cast<double>(op.elements()) * params_.element_tcopy();
-        double& done = node_done[static_cast<std::size_t>(op.node)];
-        if (sink)
-          sink->copy(phase_index, op.node,
-                     op.elements() * static_cast<std::size_t>(params_.element_bytes),
-                     done, done + cost);
-        done += cost;
-        stats.copy_time += cost;
-      }
-    }
-
-    // 2. Staging charges (buffer gather/scatter, no data movement).
-    for (const StageOp& op : phase.stage) {
-      if (op.node >= nnodes) throw ProgramError("stage op node out of range");
-      const double cost = static_cast<double>(op.bytes) * params_.tcopy;
-      double& done = node_done[static_cast<std::size_t>(op.node)];
-      if (sink) sink->stage(phase_index, op.node, op.bytes, done, done + cost);
-      done += cost;
-      stats.copy_time += cost;
-    }
-
-    // 3. Data movement for sends: reads from a snapshot, writes to live.
-    if (!phase.sends.empty()) {
-      const Memory snapshot = mem;
-      ++delivery_epoch;
-
-      // First mark all sent slots empty, then deliver.
-      std::vector<std::vector<word>> payloads(phase.sends.size());
-      for (std::size_t k = 0; k < phase.sends.size(); ++k) {
-        const SendOp& op = phase.sends[k];
-        if (op.src >= nnodes) throw ProgramError("send src out of range");
-        if (op.route.empty()) throw ProgramError("send with empty route");
-        if (op.src_slots.size() != op.dst_slots.size())
-          throw ProgramError("send slot count mismatch");
-        const auto& src_local = snapshot[static_cast<std::size_t>(op.src)];
-        auto& live_src = mem[static_cast<std::size_t>(op.src)];
-        payloads[k].resize(op.src_slots.size());
-        for (std::size_t i = 0; i < op.src_slots.size(); ++i) {
-          const slot s = op.src_slots[i];
-          if (s >= src_local.size()) throw ProgramError("send src slot out of range");
-          payloads[k][i] = src_local[static_cast<std::size_t>(s)];
-          if (payloads[k][i] == kEmptySlot) fail_slot("send reads empty ", op.src, s);
-          // All emptying happens before any delivery, so a slot that is
-          // both sent from and delivered to ends up with the new value.
-          if (!op.keep_source) live_src[static_cast<std::size_t>(s)] = kEmptySlot;
-        }
-      }
-      for (std::size_t k = 0; k < phase.sends.size(); ++k) {
-        const SendOp& op = phase.sends[k];
-        word dst = op.src;
-        for (const int d : op.route) {
-          if (d < 0 || d >= ports) throw ProgramError("route dimension out of range");
-          dst = topology->neighbor(dst, d);
-          if (dst == topo::kNoNode) throw ProgramError("route crosses an unwired port");
-        }
-        auto& dst_local = mem[static_cast<std::size_t>(dst)];
-        const std::size_t dst_base =
-            static_cast<std::size_t>(dst) * static_cast<std::size_t>(program.local_slots);
-        for (std::size_t i = 0; i < op.dst_slots.size(); ++i) {
-          const slot s = op.dst_slots[i];
-          if (s >= dst_local.size()) throw ProgramError("send dst slot out of range");
-          std::uint32_t& stamp = delivered[dst_base + static_cast<std::size_t>(s)];
-          if (stamp == delivery_epoch) fail_slot("double delivery to ", dst, s);
-          stamp = delivery_epoch;
-          dst_local[static_cast<std::size_t>(s)] = payloads[k][i];
-        }
-      }
-    }
-
-    // 4. Timing of sends: event-driven with link and port contention.
-    {
-      std::priority_queue<Packet, std::vector<Packet>, PacketOrder> queue;
-      for (const SendOp& op : phase.sends) {
-        Packet p;
-        p.op = &op;
-        p.seq = global_seq++;
-        p.hop = 0;
-        p.at = op.src;
-        p.ready = node_done[static_cast<std::size_t>(op.src)];
-        queue.push(p);
-        if (op.rerouted) result.total_reroutes += 1;
-        stats.sends += 1;
-        stats.elements += op.elements();
-        stats.hops += op.route.size();
-      }
-      result.total_sends += stats.sends;
-      result.total_elements += stats.elements;
-      result.total_hops += stats.hops;
-
-      const bool one_port = params_.port == PortModel::one_port;
-
-      while (!queue.empty()) {
-        Packet p = queue.top();
-        queue.pop();
-        const std::size_t bytes =
-            p.op->elements() * static_cast<std::size_t>(params_.element_bytes);
-
-        if (params_.switching == Switching::cut_through) {
-          // Reserve the whole route (circuit-style); header latency tau per
-          // hop, payload serialised once.
-          double start = p.ready;
-          word cur = p.at;
-          std::vector<std::size_t> lidx;
-          lidx.reserve(p.op->route.size());
-          for (const int d : p.op->route) {
-            lidx.push_back(topology->link_index(cur, d));
-            cur = topology->neighbor(cur, d);
-          }
-          for (const std::size_t li : lidx) start = std::max(start, link_free[li]);
-          const double link_start = start;
-          if (one_port) start = std::max(start, send_free[static_cast<std::size_t>(p.at)]);
-          const double send_gate = start;
-          if (one_port) start = std::max(start, recv_free[static_cast<std::size_t>(cur)]);
-          const double recv_gate = start;
-          if (sink) {
-            if (send_gate > link_start)
-              sink->port_wait(obs::EventKind::port_wait_send, phase_index, p.at, p.seq,
-                              link_start, send_gate);
-            if (recv_gate > send_gate)
-              sink->port_wait(obs::EventKind::port_wait_recv, phase_index, cur, p.seq,
-                              send_gate, recv_gate);
-          }
-          double serialise = static_cast<double>(bytes) * params_.tc;
-          if (gate.model) {
-            // The reservation is pushed past every outage window in route
-            // order; the most degraded link paces the pipelined payload.
-            for (const std::size_t li : lidx)
-              start = gate.acquire(li, start, phase_index, p.seq);
-            double deg = 1.0;
-            for (const std::size_t li : lidx) deg = std::max(deg, gate.degrade(li));
-            serialise *= deg;
-          }
-          const double arrive =
-              start + static_cast<double>(lidx.size()) * params_.tau + serialise;
-          if (sink) {
-            if (p.op->rerouted) sink->reroute(phase_index, p.at, cur, p.seq, start);
-            sink->send_begin(phase_index, p.at, cur, p.seq, bytes, start,
-                             start + params_.tau + serialise);
-          }
-          for (std::size_t i = 0; i < lidx.size(); ++i) {
-            const double lstart = start + static_cast<double>(i) * params_.tau;
-            const double lend = lstart + params_.tau + serialise;
-            link_free[lidx[i]] = lend;
-            link_busy_total[lidx[i]] += lend - lstart;
-            if (options_.record_link_trace)
-              result.link_trace[lidx[i]].push_back({lstart, lend, p.seq});
-            if (sink) {
-              const word from =
-                  static_cast<word>(lidx[i] / static_cast<std::size_t>(ports));
-              const int dim = static_cast<int>(lidx[i] % static_cast<std::size_t>(ports));
-              sink->hop(phase_index, from, topology->neighbor(from, dim), dim, p.seq, bytes,
-                        lstart, lend);
-            }
-          }
-          if (sink) sink->send_end(phase_index, cur, p.at, p.seq, bytes, start, arrive);
-          if (one_port) {
-            send_free[static_cast<std::size_t>(p.at)] = start + params_.tau + serialise;
-            recv_free[static_cast<std::size_t>(cur)] = arrive;
-          }
-          node_done[static_cast<std::size_t>(cur)] =
-              std::max(node_done[static_cast<std::size_t>(cur)], arrive);
-          stats.end = std::max(stats.end, arrive);
-          continue;
-        }
-
-        // Store-and-forward: one hop at a time.
-        const int dim = p.op->route[p.hop];
-        const word next = topology->neighbor(p.at, dim);
-        const std::size_t li = topology->link_index(p.at, dim);
-        const bool first_hop = p.hop == 0;
-        const bool last_hop = p.hop + 1 == p.op->route.size();
-
-        double start = std::max(p.ready, link_free[li]);
-        const double link_start = start;
-        if (one_port && first_hop)
-          start = std::max(start, send_free[static_cast<std::size_t>(p.at)]);
-        const double send_gate = start;
-        if (one_port && last_hop)
-          start = std::max(start, recv_free[static_cast<std::size_t>(next)]);
-        const double recv_gate = start;
-        if (sink) {
-          if (send_gate > link_start)
-            sink->port_wait(obs::EventKind::port_wait_send, phase_index, p.at, p.seq,
-                            link_start, send_gate);
-          if (recv_gate > send_gate)
-            sink->port_wait(obs::EventKind::port_wait_recv, phase_index, next, p.seq,
-                            send_gate, recv_gate);
-        }
-        double hop_cost = params_.hop_time(bytes);
-        if (gate.model) {
-          start = gate.acquire(li, start, phase_index, p.seq);
-          hop_cost *= gate.degrade(li);
-        }
-
-        const double end = start + hop_cost;
-        link_free[li] = end;
-        link_busy_total[li] += end - start;
-        if (options_.record_link_trace) result.link_trace[li].push_back({start, end, p.seq});
-        if (one_port && first_hop) send_free[static_cast<std::size_t>(p.at)] = end;
-        if (one_port && last_hop) recv_free[static_cast<std::size_t>(next)] = end;
-        if (sink) {
-          if (first_hop) {
-            word dst = p.at;
-            for (const int d : p.op->route) dst = topology->neighbor(dst, d);
-            if (p.op->rerouted) sink->reroute(phase_index, p.at, dst, p.seq, start);
-            sink->send_begin(phase_index, p.at, dst, p.seq, bytes, start, end);
-          }
-          sink->hop(phase_index, p.at, next, dim, p.seq, bytes, start, end);
-          if (last_hop) sink->send_end(phase_index, next, p.op->src, p.seq, bytes, start, end);
-        }
-
-        if (last_hop) {
-          node_done[static_cast<std::size_t>(next)] =
-              std::max(node_done[static_cast<std::size_t>(next)], end);
-          stats.end = std::max(stats.end, end);
-        } else {
-          p.at = next;
-          p.hop += 1;
-          p.ready = end;
-          queue.push(p);
-        }
-      }
-    }
-
-    // 5. Scatter charges (receive-side buffer unpacking).
-    for (const StageOp& op : phase.post_stage) {
-      if (op.node >= nnodes) throw ProgramError("post-stage op node out of range");
-      const double cost = static_cast<double>(op.bytes) * params_.tcopy;
-      double& done = node_done[static_cast<std::size_t>(op.node)];
-      if (sink) sink->stage(phase_index, op.node, op.bytes, done, done + cost);
-      done += cost;
-      stats.copy_time += cost;
-    }
-
-    // 6. Post-copies.
-    for (const CopyOp& op : phase.post_copies) {
-      apply_copy(op);
-      if (op.charged) {
-        const double cost = static_cast<double>(op.elements()) * params_.element_tcopy();
-        double& done = node_done[static_cast<std::size_t>(op.node)];
-        if (sink)
-          sink->copy(phase_index, op.node,
-                     op.elements() * static_cast<std::size_t>(params_.element_bytes),
-                     done, done + cost);
-        done += cost;
-        stats.copy_time += cost;
-      }
-    }
-
-    for (const double t : node_done) stats.end = std::max(stats.end, t);
-    stats.end = std::max(stats.end, stats.start);
-    if (sink) sink->phase_end(phase_index, stats.end);
-    clock = stats.end;
-    result.total_copy_time += stats.copy_time;
-    result.phases.push_back(std::move(stats));
-
-    // Barrier: reset port/link availability for the next phase (all
-    // activity of this phase is complete by `clock`).
-    std::fill(link_free.begin(), link_free.end(), clock);
-    std::fill(send_free.begin(), send_free.end(), clock);
-    std::fill(recv_free.begin(), recv_free.end(), clock);
-  }
-
-  result.total_time = clock;
-  result.total_retries = gate.retries;
-  result.total_fault_wait = gate.down_wait;
-  result.max_link_busy =
-      link_busy_total.empty()
-          ? 0.0
-          : *std::max_element(link_busy_total.begin(), link_busy_total.end());
-  return result;
+  return run(compile(program, params_), std::move(initial));
 }
 
 VerifyResult verify_memory(const Memory& actual, const Memory& expected) {

@@ -1,5 +1,8 @@
 // Event-driven execution of phased communication programs on a Boolean
-// n-cube machine model.
+// n-cube machine model.  There is one executor (sim/compile.hpp plus the
+// per-event steps of sim/exec_step.hpp) with two modes: data mode moves
+// payloads and returns the final memories, timing-only mode computes the
+// same times, statistics and event streams without touching memory.
 //
 // Timing model:
 //  * store-and-forward: each hop of a message costs
@@ -18,9 +21,9 @@
 //  * phases are separated by a global barrier.
 //
 // Data model: node memories hold element addresses; sends read their
-// source slots from a phase snapshot (so concurrent exchanges swap
-// cleanly) and deliver into destination slots; a slot written twice in
-// one phase is a planner bug and raises an error.
+// source slots as of the start of the phase's send step (so concurrent
+// exchanges swap cleanly) and deliver into destination slots; a slot
+// written twice in one phase is a planner bug that compile() rejects.
 #pragma once
 
 #include <span>
@@ -55,13 +58,6 @@ struct PhaseStats {
   double duration() const noexcept { return end - start; }
 };
 
-/// One busy interval of a directed link (recorded when tracing is on).
-struct LinkBusy {
-  double start = 0.0;
-  double end = 0.0;
-  std::size_t send_index = 0;  ///< global sequence number of the message.
-};
-
 struct RunResult {
   double total_time = 0.0;
   double total_copy_time = 0.0;
@@ -71,9 +67,6 @@ struct RunResult {
   std::size_t total_hops = 0;       ///< message-hops traversed.
   double max_link_busy = 0.0;       ///< max cumulative busy time of any link.
   Memory memory;                    ///< final node memories.
-  /// Optional: busy intervals per directed link, indexed by
-  /// topo::link_index; empty unless EngineOptions::record_link_trace.
-  std::vector<std::vector<LinkBusy>> link_trace;
   // Fault injection (all zero on a healthy run):
   std::size_t total_reroutes = 0;   ///< sends injected on detour routes.
   std::size_t total_retries = 0;    ///< hop re-injections after transient outages.
@@ -81,16 +74,16 @@ struct RunResult {
 };
 
 struct EngineOptions {
-  bool record_link_trace = false;
   /// Optional structured event sink (not owned; see obs/trace.hpp).  The
   /// engine clears it at run start and records typed events with
-  /// simulated timestamps; interpreted, compiled-data and timing-only
-  /// runs of the same program emit identical event streams.
+  /// simulated timestamps; data-mode and timing-only runs of the same
+  /// program emit identical event streams.  Link occupancy is read from
+  /// its hop events (obs::peak_link_overlap).
   obs::TraceSink* trace = nullptr;
   /// Optional fault model (not owned; see fault/fault.hpp).  Null or
   /// empty: healthy machine, with times, stats and event streams
-  /// bit-identical to a run without the field.  With faults, all three
-  /// engine paths still agree exactly: hops blocked by a transient outage
+  /// bit-identical to a run without the field.  With faults, both
+  /// modes (and the sharded engine) still agree exactly: hops blocked by a transient outage
   /// wait and retry per `retry`; a permanent outage on a route raises
   /// fault::FaultError.
   const fault::FaultModel* faults = nullptr;
@@ -108,13 +101,20 @@ class Engine {
   const MachineParams& params() const noexcept { return params_; }
   const EngineOptions& options() const noexcept { return options_; }
 
-  /// Execute `program` starting from `initial` node memories
-  /// (interpreted: every operand re-validated on this run).
+  /// Execute `program` starting from `initial` node memories: exactly
+  /// run(compile(program, params()), initial).  Errors therefore come in
+  /// a fixed order: compile() first raises the same ProgramError it
+  /// raises on its own for any structural violation anywhere in the
+  /// program (a bad route in phase 1 wins over an empty read in phase
+  /// 0); then a mis-sized `initial` raises "initial memory has wrong
+  /// node count" / "node memory has wrong slot count"; only then, while
+  /// executing, does a read of an empty slot raise "send reads empty" /
+  /// "copy reads empty".
   RunResult run(const Program& program, Memory initial) const;
 
   /// Execute a compiled program (see compile.hpp) in data mode: payloads
-  /// move and the result matches the interpreted path bit-for-bit, but
-  /// all structural validation already happened at compile time.
+  /// move and every structural check already happened at compile time;
+  /// only the data-dependent empty-slot reads are checked here.
   RunResult run(const CompiledProgram& compiled, Memory initial) const;
 
   /// Timing-only fast path: identical simulated times and phase stats,

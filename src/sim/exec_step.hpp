@@ -1,5 +1,6 @@
-// Internal: the per-event timing arithmetic shared by the single-thread
-// compiled engine (sim/compile.cpp) and the sharded conservative engine
+// Internal: the run prologue/epilogue and the per-event timing
+// arithmetic shared by the single-thread compiled engine
+// (sim/compile.cpp) and the sharded conservative engine
 // (shard/engine.cpp).
 //
 // The sharded engine's contract is *bit-identical* simulated times to
@@ -8,7 +9,7 @@
 // the store-and-forward hop step and the cut-through route step live
 // here, once, templated exactly like the former inline bodies
 // (`kTrace` compiles the event-sink calls out, `kLean` additionally
-// strips fault and link-trace instrumentation).  The golden tests in
+// strips the fault-gate branches).  The golden tests in
 // tests/sim/ and tests/shard/ enforce the equality from both sides.
 //
 // Callers differ only in what happens *around* an event, which is
@@ -29,13 +30,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "obs/trace.hpp"
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_gate.hpp"
 #include "sim/model.hpp"
+#include "sim/scratch.hpp"
 #include "topology/topology.hpp"
 
 namespace nct::sim::detail {
@@ -64,9 +65,95 @@ struct ExecEnv {
   // Instrumentation (consulted per kTrace / kLean flags).
   obs::TraceSink* sink = nullptr;
   FaultGate* gate = nullptr;
-  /// Global-link-indexed busy intervals, or null when not recording.
-  std::vector<std::vector<LinkBusy>>* link_trace = nullptr;
 };
+
+/// Timing-relevant machine parameters must match between compile time
+/// and run time or the precomputed costs are stale.
+inline bool same_machine(const MachineParams& a, const MachineParams& b) noexcept {
+  return a.n == b.n && a.tau == b.tau && a.tc == b.tc && a.tcopy == b.tcopy &&
+         a.max_packet_bytes == b.max_packet_bytes && a.element_bytes == b.element_bytes &&
+         a.port == b.port && a.switching == b.switching && a.topology == b.topology;
+}
+
+/// The run prologue of both executors: opens the trace (kTrace), fills
+/// `gate` — an empty fault model is dropped, so a healthy run executes
+/// exactly the fault-free arithmetic — zeroes the active link and node
+/// state of `scratch` (O(active links + nodes), never O(machine)),
+/// resets every counter of `out` except `memory`, and returns the
+/// ExecEnv over those arrays.  `gate` must outlive the run.
+template <bool kTrace>
+inline ExecEnv begin_run(const MachineParams& params, const EngineOptions& options,
+                         const CompiledProgram& cp, RunScratch& scratch, RunResult& out,
+                         FaultGate& gate) {
+  const int ports = cp.ports();
+  obs::TraceSink* const sink = options.trace;
+  if constexpr (kTrace) {
+    if (params.topology.is_cube()) {
+      sink->begin_run(params.n);
+    } else {
+      sink->begin_run_topology(cp.nodes(), ports);
+    }
+  }
+
+  const bool faulted = options.faults && !options.faults->empty();
+  if (faulted && (options.faults->dimensions() != ports ||
+                  options.faults->topology_id() != params.topology))
+    throw ProgramError("fault model / machine dimension mismatch");
+  gate = FaultGate{faulted ? options.faults : nullptr, options.retry, kTrace ? sink : nullptr,
+                   ports, &cp.topology(), 0, 0.0};
+
+  const std::size_t nactive = cp.active_links().size();
+  scratch.ensure(static_cast<std::size_t>(cp.nodes()), nactive, cp.max_phase_sends());
+  std::fill_n(scratch.link_free.begin(), nactive, 0.0);
+  std::fill_n(scratch.link_busy_total.begin(), nactive, 0.0);
+  for (const word x : cp.active_nodes()) {
+    const auto xi = static_cast<std::size_t>(x);
+    scratch.send_free[xi] = 0.0;
+    scratch.recv_free[xi] = 0.0;
+    scratch.node_done[xi] = 0.0;
+  }
+
+  out.total_time = 0.0;
+  out.total_copy_time = 0.0;
+  out.phases.resize(cp.phases().size());
+  out.total_sends = 0;
+  out.total_elements = 0;
+  out.total_hops = 0;
+  out.max_link_busy = 0.0;
+  out.total_reroutes = 0;
+  out.total_retries = 0;
+  out.total_fault_wait = 0.0;
+
+  ExecEnv env;
+  env.sends = cp.send_ops().data();
+  env.link_pool = cp.link_pool().data();
+  env.link_global = cp.active_links().data();
+  env.topology = &cp.topology();
+  env.params = &params;
+  env.ports = ports;
+  env.one_port = params.port == PortModel::one_port;
+  env.link_free = scratch.link_free.data();
+  env.link_busy_total = scratch.link_busy_total.data();
+  env.send_free = scratch.send_free.data();
+  env.recv_free = scratch.recv_free.data();
+  env.pkt_hop = scratch.pkt_hop.data();
+  env.sink = sink;
+  env.gate = &gate;
+  return env;
+}
+
+/// The run epilogue of both executors: final clock, fault counters and
+/// the busiest link's cumulative busy time.
+inline void end_run(const ExecEnv& env, const CompiledProgram& cp, double clock,
+                    RunResult& out) {
+  out.total_time = clock;
+  out.total_retries = env.gate->retries;
+  out.total_fault_wait = env.gate->down_wait;
+  double max_busy = 0.0;
+  for (std::size_t ci = 0; ci < cp.active_links().size(); ++ci)
+    max_busy = std::max(max_busy, env.link_busy_total[ci]);
+  out.max_link_busy = max_busy;
+}
 
 /// Cut-through: the whole route is reserved at once and the packet
 /// arrives after route_len * tau + serialise; a cut-through send is one
@@ -115,8 +202,6 @@ inline void step_cut_through(const ExecEnv& env, std::int32_t phase_index,
     const double lend = lstart + params.tau + serialise;
     env.link_free[links[i]] = lend;
     env.link_busy_total[links[i]] += lend - lstart;
-    if (!kLean && env.link_trace)
-      (*env.link_trace)[env.link_global[links[i]]].push_back({lstart, lend, seq});
     if constexpr (kTrace) {
       const std::uint32_t gli = env.link_global[links[i]];
       const word from = static_cast<word>(gli / static_cast<std::uint32_t>(env.ports));
@@ -173,8 +258,6 @@ inline void step_store_forward(const ExecEnv& env, std::int32_t phase_index,
   const double end = start + hop_cost;
   env.link_free[ci] = end;
   env.link_busy_total[ci] += end - start;
-  if (!kLean && env.link_trace)
-    (*env.link_trace)[env.link_global[ci]].push_back({start, end, seq});
   if (env.one_port && first_hop) env.send_free[static_cast<std::size_t>(s.src)] = end;
   if (env.one_port && last_hop) env.recv_free[static_cast<std::size_t>(s.dst)] = end;
   if constexpr (kTrace) {

@@ -1,10 +1,11 @@
-// Internal: the one fault arbiter shared by the interpreted engine and
-// both compiled-execution modes.
+// Internal: the one fault arbiter shared by both execution modes and
+// the sharded engine.
 //
-// All three engine paths must stay bit-identical under fault injection
-// (the golden tests in tests/fault/ assert exact stream equality), so the
-// arithmetic that turns an outage window into a delayed hop lives here,
-// in one inline routine, instead of being re-derived per path.
+// Every executor must stay bit-identical under fault injection (the
+// golden tests in tests/fault/ and tests/shard/ assert exact stream
+// equality), so the arithmetic that turns an outage window into a
+// delayed hop lives here, in one inline routine, instead of being
+// re-derived per executor.
 //
 // A hop that would start while its link is down waits for the window to
 // end (a `link_down` interval event), pays RetryPolicy::retry_penalty,

@@ -1,6 +1,5 @@
 #include "sim/report.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace nct::sim {
@@ -43,29 +42,6 @@ std::string format_report(const Program& program, const RunResult& result) {
 std::string format_report(const Program& program, const RunResult& result,
                           const obs::MetricsReport& metrics) {
   return format_report(program, result) + metrics.format();
-}
-
-std::size_t peak_link_overlap(const RunResult& result) {
-  std::size_t peak = 0;
-  for (const auto& link : result.link_trace) {
-    // Sweep the busy intervals of this link.
-    std::vector<std::pair<double, int>> events;
-    events.reserve(link.size() * 2);
-    for (const LinkBusy& b : link) {
-      events.emplace_back(b.start, +1);
-      events.emplace_back(b.end, -1);
-    }
-    std::sort(events.begin(), events.end(),
-              [](const auto& a, const auto& b) {
-                return a.first < b.first || (a.first == b.first && a.second < b.second);
-              });
-    int depth = 0;
-    for (const auto& [t, delta] : events) {
-      depth += delta;
-      peak = std::max(peak, static_cast<std::size_t>(std::max(depth, 0)));
-    }
-  }
-  return peak;
 }
 
 }  // namespace nct::sim

@@ -31,9 +31,4 @@ std::string format_report(const Program& program, const RunResult& result);
 std::string format_report(const Program& program, const RunResult& result,
                           const obs::MetricsReport& metrics);
 
-/// Peak concurrent use of any directed link (requires a link trace):
-/// the largest number of overlapping busy intervals on one link.  For a
-/// plan with edge-disjoint paths this is 1.
-std::size_t peak_link_overlap(const RunResult& result);
-
 }  // namespace nct::sim

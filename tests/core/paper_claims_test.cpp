@@ -4,8 +4,9 @@
 #include "comm/all_to_all.hpp"
 #include "core/transpose1d.hpp"
 #include "core/transpose2d.hpp"
+#include "obs/analyze.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/report.hpp"
 
 namespace nct::core {
 namespace {
@@ -51,11 +52,12 @@ TEST(Definition16, MptWavesNeverOverlapOnALink) {
   Transpose2DOptions opt;
   opt.mpt_k = 1;  // 4H packets = two waves per path
   const auto prog = transpose_mpt(before, after, m, opt);
+  obs::TraceSink trace;
   sim::EngineOptions eopt;
-  eopt.record_link_trace = true;
+  eopt.trace = &trace;
   const auto res = sim::Engine(m, eopt).run(
       prog, transpose_initial_memory(before, n, prog.local_slots));
-  EXPECT_EQ(sim::peak_link_overlap(res), 1U);
+  EXPECT_EQ(obs::peak_link_overlap(trace), 1U);
   EXPECT_TRUE(sim::verify_memory(res.memory,
                                  transpose_expected_memory(s, after, n, prog.local_slots))
                   .ok);

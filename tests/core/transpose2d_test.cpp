@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "core/transpose1d.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace nct::core {
@@ -100,20 +102,24 @@ TEST(Transpose2D, SptPathsAreEdgeDisjointAcrossNodes) {
   Transpose2DOptions opt;
   opt.packet_elements = 4;
   const auto prog = transpose_spt(before, after, m, opt);
+  obs::TraceSink trace;
   sim::EngineOptions eopt;
-  eopt.record_link_trace = true;
-  const auto res = sim::Engine(m, eopt).run(
-      prog, transpose_initial_memory(before, n, prog.local_slots));
+  eopt.trace = &trace;
+  sim::Engine(m, eopt).run(prog, transpose_initial_memory(before, n, prog.local_slots));
   // Map send index -> source node.
   std::vector<word> send_src;
   for (const auto& ph : prog.phases) {
     for (const auto& op : ph.sends) send_src.push_back(op.src);
   }
-  for (const auto& link : res.link_trace) {
-    std::set<word> sources;
-    for (const auto& busy : link) sources.insert(send_src.at(busy.send_index));
-    EXPECT_LE(sources.size(), 1U);
+  // Hop events are the link record: directed link node * n + dim.
+  std::map<word, std::set<word>> sources;
+  for (const auto& e : trace.events()) {
+    if (e.kind != obs::EventKind::hop) continue;
+    sources[e.node * static_cast<word>(n) + static_cast<word>(e.dim)].insert(
+        send_src.at(e.seq));
   }
+  EXPECT_FALSE(sources.empty());
+  for (const auto& [link, srcs] : sources) EXPECT_LE(srcs.size(), 1U) << "link " << link;
 }
 
 TEST(Transpose2D, SptTimeMatchesPipelineFormula) {

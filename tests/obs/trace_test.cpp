@@ -60,7 +60,7 @@ TEST(TraceSink, KindNamesAreStable) {
   EXPECT_STREQ(event_kind_name(EventKind::phase_end), "phase_end");
 }
 
-/// Run a program in the interpreted engine with a sink attached.
+/// Run a program in data mode with a sink attached.
 std::pair<TraceSink, sim::RunResult> traced_run(const sim::Program& prog,
                                                 const sim::MachineParams& m,
                                                 const sim::Memory& init) {
@@ -164,8 +164,7 @@ TEST(EngineTracing, TimingOnlyPathEmitsIdenticalStream) {
   const int n = 3;
   const auto prog = comm::all_to_all_exchange(n, 2);
   const auto m = sim::MachineParams::ipsc(n);
-  const auto [interpreted, res] =
-      traced_run(prog, m, comm::all_to_all_initial_memory(n, 2));
+  const auto [data, res] = traced_run(prog, m, comm::all_to_all_initial_memory(n, 2));
   (void)res;
 
   TraceSink timing;
@@ -173,8 +172,8 @@ TEST(EngineTracing, TimingOnlyPathEmitsIdenticalStream) {
   opt.trace = &timing;
   sim::Engine(m, opt).run_timing(sim::compile(prog, m));
 
-  EXPECT_EQ(interpreted.phase_labels(), timing.phase_labels());
-  EXPECT_EQ(interpreted.events(), timing.events());
+  EXPECT_EQ(data.phase_labels(), timing.phase_labels());
+  EXPECT_EQ(data.events(), timing.events());
 }
 
 TEST(TraceExport, BinaryRoundTripIsExact) {

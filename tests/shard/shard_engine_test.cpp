@@ -1,7 +1,7 @@
 // Shard-count invariance goldens: the sharded engine must produce
 // **bit-identical** results to sim::Engine::run_timing for shard counts
-// 1/2/4/8, on every machine model, with faults, link traces and event
-// traces — plus the degenerate cases and the ShardStats contract.
+// 1/2/4/8, on every machine model, with faults and event traces (whose
+// hop events are the link record) — plus the degenerate cases and the ShardStats contract.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,6 +10,7 @@
 #include "core/api.hpp"
 #include "core/transpose1d.hpp"
 #include "fault/fault.hpp"
+#include "obs/analyze.hpp"
 #include "obs/trace.hpp"
 #include "shard/auto.hpp"
 #include "shard/engine.hpp"
@@ -59,15 +60,6 @@ void expect_same_run(const sim::RunResult& a, const sim::RunResult& b,
     EXPECT_EQ(pa.hops, pb.hops) << what << " phase " << i;
     EXPECT_EQ(pa.copy_time, pb.copy_time) << what << " phase " << i;
   }
-  ASSERT_EQ(a.link_trace.size(), b.link_trace.size()) << what;
-  for (std::size_t li = 0; li < a.link_trace.size(); ++li) {
-    ASSERT_EQ(a.link_trace[li].size(), b.link_trace[li].size()) << what << " link " << li;
-    for (std::size_t k = 0; k < a.link_trace[li].size(); ++k) {
-      EXPECT_EQ(a.link_trace[li][k].start, b.link_trace[li][k].start) << what;
-      EXPECT_EQ(a.link_trace[li][k].end, b.link_trace[li][k].end) << what;
-      EXPECT_EQ(a.link_trace[li][k].send_index, b.link_trace[li][k].send_index) << what;
-    }
-  }
 }
 
 void expect_same_trace(const obs::TraceSink& a, const obs::TraceSink& b,
@@ -84,14 +76,12 @@ void expect_same_trace(const obs::TraceSink& a, const obs::TraceSink& b,
 /// The golden harness: run serial, then sharded at 1/2/4/8, compare
 /// everything exactly.  `faults` may be null.
 void expect_shard_invariant(const sim::Program& program, const sim::MachineParams& m,
-                            const fault::FaultModel* faults, bool link_trace,
-                            const std::string& what) {
+                            const fault::FaultModel* faults, const std::string& what) {
   const auto compiled = sim::compile(program, m);
   const auto topology = topo::make_topology(m.topology, m.n);
 
   sim::EngineOptions opts;
   opts.faults = faults;
-  opts.record_link_trace = link_trace;
   const sim::RunResult serial = sim::Engine(m, opts).run_timing(compiled);
 
   const shard::ShardEngine sharded(m, opts);
@@ -138,14 +128,14 @@ TEST(ShardEngine, TransposeNPortStoreAndForwardInvariant) {
   expect_shard_invariant(mpt_program(6),
                          cube_machine(6, sim::Switching::store_and_forward,
                                       sim::PortModel::n_port),
-                         nullptr, false, "6-cube MPT n-port SF");
+                         nullptr, "6-cube MPT n-port SF");
 }
 
 TEST(ShardEngine, TransposeOnePortStoreAndForwardInvariant) {
   expect_shard_invariant(spt_program(6),
                          cube_machine(6, sim::Switching::store_and_forward,
                                       sim::PortModel::one_port),
-                         nullptr, false, "6-cube SPT one-port SF");
+                         nullptr, "6-cube SPT one-port SF");
 }
 
 TEST(ShardEngine, TransposeCutThroughInvariant) {
@@ -155,7 +145,7 @@ TEST(ShardEngine, TransposeCutThroughInvariant) {
     const auto before = PartitionSpec::two_dim_cyclic(s, 3, 3);
     const auto after = PartitionSpec::two_dim_cyclic(s.transposed(), 3, 3);
     const auto plan = core::plan_transpose(before, after, m);
-    expect_shard_invariant(plan.program, m, nullptr, false,
+    expect_shard_invariant(plan.program, m, nullptr,
                            std::string("6-cube CT ") +
                                (port == sim::PortModel::n_port ? "n-port" : "one-port"));
   }
@@ -176,7 +166,7 @@ TEST(ShardEngine, RoutedTransposeOnEveryTopologyInvariant) {
     const auto program = topo::plan_routed_transpose(*t, rows, t->nodes() / rows, 2);
     sim::MachineParams m = sim::MachineParams::on_topology(c.id, sim::MachineParams::ipsc(0));
     m.port = sim::PortModel::one_port;
-    expect_shard_invariant(program, m, nullptr, false, c.label);
+    expect_shard_invariant(program, m, nullptr, c.label);
   }
 }
 
@@ -188,12 +178,29 @@ TEST(ShardEngine, FaultedRunInvariant) {
   spec.fail_link(3, 1, fault::Window{0.0, 400.0});
   spec.degrade_link(0, 2, 3.0);
   const fault::FaultModel model(5, spec);
-  expect_shard_invariant(mpt_program(5), m, &model, false, "5-cube faulted");
+  expect_shard_invariant(mpt_program(5), m, &model, "5-cube faulted");
 }
 
 TEST(ShardEngine, LinkTraceInvariant) {
+  // Link occupancy (hop events) of an n-port MPT run is the same at
+  // every shard count, and its (2, 2H)-disjoint waves never overlap.
   const auto m = cube_machine(4, sim::Switching::store_and_forward, sim::PortModel::n_port);
-  expect_shard_invariant(mpt_program(4), m, nullptr, true, "4-cube link trace");
+  const auto compiled = sim::compile(mpt_program(4), m);
+  const auto topology = topo::make_topology(m.topology, m.n);
+  obs::TraceSink serial_trace;
+  sim::EngineOptions opts;
+  opts.trace = &serial_trace;
+  const auto serial = sim::Engine(m, opts).run_timing(compiled);
+  EXPECT_EQ(obs::peak_link_overlap(serial_trace), 1u);
+  for (const std::uint32_t s : {1u, 2u, 4u, 8u}) {
+    obs::TraceSink trace;
+    sim::EngineOptions sopts;
+    sopts.trace = &trace;
+    const auto out =
+        shard::ShardEngine(m, sopts).run_timing(compiled, topo::make_partition(*topology, s));
+    expect_same_run(serial, out, "link trace shards=" + std::to_string(s));
+    expect_same_trace(serial_trace, trace, "link trace shards=" + std::to_string(s));
+  }
 }
 
 TEST(ShardEngine, EventTraceIdenticalAtEveryShardCount) {
@@ -253,7 +260,7 @@ TEST(ShardEngine, DegenerateZeroDimCube) {
   ph.pre_copies.push_back(sim::CopyOp{0, {0}, {1}, true});
   prog.phases.push_back(ph);
   const auto m = cube_machine(0, sim::Switching::store_and_forward, sim::PortModel::n_port);
-  expect_shard_invariant(prog, m, nullptr, false, "0-d cube copy only");
+  expect_shard_invariant(prog, m, nullptr, "0-d cube copy only");
 }
 
 TEST(ShardEngine, ShardsExceedingActiveNodes) {
@@ -264,7 +271,7 @@ TEST(ShardEngine, ShardsExceedingActiveNodes) {
   const auto after = PartitionSpec::two_dim_cyclic(s.transposed(), 1, 1);
   const auto m = cube_machine(2, sim::Switching::store_and_forward, sim::PortModel::n_port);
   const auto plan = core::plan_transpose(before, after, m);
-  expect_shard_invariant(plan.program, m, nullptr, false, "2-cube oversharded");
+  expect_shard_invariant(plan.program, m, nullptr, "2-cube oversharded");
 }
 
 TEST(ShardEngine, RejectsMismatchedPartition) {

@@ -1,6 +1,6 @@
 // Batched timing-only execution: Engine::run_timing_batch must be
-// bit-identical to per-program Engine::run_timing (itself golden
-// against the interpreted engine) regardless of batch size, worker
+// bit-identical to per-program Engine::run_timing (itself pinned by
+// the compile goldens) regardless of batch size, worker
 // count, scratch reuse history, or fault injection; the calendar event
 // queue underneath must pop in exact ascending (ready, pid) order; and
 // the contiguous work split must cover every item exactly once.
@@ -237,7 +237,7 @@ TEST(RunTimingBatch, MatchesSingleRunsAcrossJobsAndBatchSizes) {
   }
 }
 
-TEST(RunTimingBatch, AgreesWithInterpretedEngine) {
+TEST(RunTimingBatch, AgreesWithDataModeRun) {
   const auto m = MachineParams::cm(4);
   const int half = 2, lg = 8;
   const cube::MatrixShape s{lg / 2, lg - lg / 2};
@@ -247,13 +247,13 @@ TEST(RunTimingBatch, AgreesWithInterpretedEngine) {
   const auto init = core::transpose_initial_memory(before, m.n, prog.local_slots);
   const Engine engine(m);
 
-  const auto interpreted = engine.run(prog, init);
+  const auto data = engine.run(prog, init);
   const auto compiled = compile(prog, m);
   const CompiledProgram* items[] = {&compiled, &compiled, &compiled};
   BatchScratch batch;
   ASSERT_EQ(engine.run_timing_batch(items, batch, 2), 3u);
   for (const auto& run : {batch.runs[0], batch.runs[1], batch.runs[2]})
-    expect_same_stats(interpreted, run.result);
+    expect_same_stats(data, run.result);
 }
 
 TEST(RunTimingBatch, ScratchReusePoisoning) {

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "obs/analyze.hpp"
+#include "obs/trace.hpp"
+#include "sim/compile.hpp"
 #include "sim/model.hpp"
 #include "sim/program.hpp"
+#include "topology/hypercube.hpp"
 
 namespace nct::sim {
 namespace {
@@ -300,8 +308,11 @@ TEST(Engine, ErrorsOnBadRoute) {
 }
 
 TEST(Engine, LinkTraceRecordsIntervals) {
+  // Link occupancy is read from hop events: directed link node * ports +
+  // dim, busy over [t0, t1], tagged with the message sequence number.
+  obs::TraceSink trace;
   EngineOptions opt;
-  opt.record_link_trace = true;
+  opt.trace = &trace;
   Program prog;
   prog.n = 1;
   prog.local_slots = 2;
@@ -309,12 +320,65 @@ TEST(Engine, LinkTraceRecordsIntervals) {
   ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
   prog.phases.push_back(ph);
 
-  const auto res = Engine(simple(1), opt).run(prog, two_nodes());
-  const auto li = topo::link_index(1, {0, 0});
-  ASSERT_EQ(res.link_trace.size(), 2U);
-  ASSERT_EQ(res.link_trace[li].size(), 1U);
-  EXPECT_DOUBLE_EQ(res.link_trace[li][0].start, 0.0);
-  EXPECT_DOUBLE_EQ(res.link_trace[li][0].end, 2.0);
+  Engine(simple(1), opt).run(prog, two_nodes());
+  std::vector<obs::TraceEvent> hops;
+  for (const auto& e : trace.events())
+    if (e.kind == obs::EventKind::hop) hops.push_back(e);
+  ASSERT_EQ(hops.size(), 1U);
+  EXPECT_EQ(hops[0].node * static_cast<word>(trace.dimensions()) +
+                static_cast<word>(hops[0].dim),
+            topo::link_index(1, {0, 0}));
+  EXPECT_EQ(hops[0].seq, 0U);
+  EXPECT_DOUBLE_EQ(hops[0].t0, 0.0);
+  EXPECT_DOUBLE_EQ(hops[0].t1, 2.0);
+  EXPECT_EQ(obs::peak_link_overlap(trace), 1U);
+}
+
+std::string program_error(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const ProgramError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Engine, RunRaisesCompileErrorsBeforeDataErrors) {
+  // Engine::run(Program) is compile + run: a structural error anywhere in
+  // the program is raised before any phase executes, with exactly the
+  // message compile() raises on its own — here phase 1's bad route wins
+  // over phase 0's read of an empty slot.
+  Program prog;
+  prog.n = 1;
+  prog.local_slots = 2;
+  Phase read_empty;
+  read_empty.sends.push_back(SendOp{0, {0}, {0}, {0}});
+  Phase bad_route;
+  bad_route.sends.push_back(SendOp{1, {5}, {1}, {1}});
+  prog.phases = {read_empty, bad_route};
+  const Memory mem{{kEmptySlot, 11}, {20, 21}};
+  const std::string from_compile = program_error([&] { compile(prog, simple(1)); });
+  EXPECT_EQ(from_compile, "route dimension out of range");
+  EXPECT_EQ(program_error([&] { Engine(simple(1)).run(prog, mem); }), from_compile);
+
+  // A structurally valid program still raises the data-mode errors.
+  prog.phases.pop_back();
+  EXPECT_EQ(program_error([&] { Engine(simple(1)).run(prog, mem); }).rfind(
+                "send reads empty ", 0),
+            0U);
+  Program copy_prog;
+  copy_prog.n = 1;
+  copy_prog.local_slots = 2;
+  Phase copy_phase;
+  copy_phase.pre_copies.push_back(CopyOp{0, {0}, {1}});
+  copy_prog.phases.push_back(copy_phase);
+  EXPECT_EQ(program_error([&] { Engine(simple(1)).run(copy_prog, mem); }).rfind(
+                "copy reads empty ", 0),
+            0U);
+
+  // And a mis-sized memory is rejected once the program has compiled.
+  EXPECT_EQ(program_error([&] { Engine(simple(1)).run(copy_prog, Memory{{10, 11}}); }),
+            "initial memory has wrong node count");
 }
 
 TEST(Engine, ZeroDimensionalCubeRunsCopyOnlyPrograms) {

@@ -95,7 +95,7 @@ TEST(EngineTiming, PhaseStatsAreFilled) {
   EXPECT_EQ(res.total_elements, 2U);
 }
 
-TEST(EngineTiming, MaxLinkBusyTracksBottleneck) {
+TEST(EngineTiming, BusiestLinkTimeTracksBottleneck) {
   auto m = MachineParams::nport(1, 1.0, 0.5);
   m.element_bytes = 2;
   Program prog;

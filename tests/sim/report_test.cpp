@@ -5,6 +5,8 @@
 #include "comm/all_to_all.hpp"
 #include "core/transpose1d.hpp"
 #include "core/transpose2d.hpp"
+#include "obs/analyze.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace nct::sim {
@@ -57,11 +59,11 @@ TEST(Report, PeakOverlapOneForEdgeDisjointSpt) {
   core::Transpose2DOptions opt;
   opt.packet_elements = 4;
   const auto prog = core::transpose_spt(before, after, m, opt);
+  obs::TraceSink trace;
   EngineOptions eopt;
-  eopt.record_link_trace = true;
-  const auto res = Engine(m, eopt).run(
-      prog, core::transpose_initial_memory(before, 4, prog.local_slots));
-  EXPECT_EQ(peak_link_overlap(res), 1U);
+  eopt.trace = &trace;
+  Engine(m, eopt).run(prog, core::transpose_initial_memory(before, 4, prog.local_slots));
+  EXPECT_EQ(obs::peak_link_overlap(trace), 1U);
 }
 
 TEST(Report, PeakOverlapZeroWithoutTrace) {
@@ -69,8 +71,12 @@ TEST(Report, PeakOverlapZeroWithoutTrace) {
   prog.n = 1;
   prog.local_slots = 1;
   Memory mem{{1}, {kEmptySlot}};
-  const auto res = Engine(MachineParams::nport(1, 1.0, 1.0)).run(prog, mem);
-  EXPECT_EQ(peak_link_overlap(res), 0U);
+  EXPECT_EQ(obs::peak_link_overlap(obs::TraceSink{}), 0U);
+  obs::TraceSink trace;
+  EngineOptions eopt;
+  eopt.trace = &trace;
+  Engine(MachineParams::nport(1, 1.0, 1.0), eopt).run(prog, mem);
+  EXPECT_EQ(obs::peak_link_overlap(trace), 0U);
 }
 
 }  // namespace

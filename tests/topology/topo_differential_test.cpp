@@ -1,6 +1,6 @@
 // Cross-topology differential suite: the BFS-routed planner's programs
-// must execute identically through every engine path — interpreted,
-// compiled data-mode, timing-only — and on the thread-per-node runtime,
+// must execute identically in both engine modes — data and timing-only —
+// agree with the pure data semantics and the thread-per-node runtime,
 // on every Topology implementation.  Times are compared with exact
 // double equality and traces event-by-event, the same bar the hypercube
 // golden tests set.
@@ -81,34 +81,29 @@ void expect_same_trace(const obs::TraceSink& a, const obs::TraceSink& b,
   }
 }
 
-/// All three engine paths plus the threaded runtime on one program.
+/// Both engine modes plus the data oracles on one program.
 void differential(const topo::Topology& t, const sim::Program& program,
                   const sim::MachineParams& m, const sim::Memory& init,
                   const sim::Memory& expected, const std::string& what) {
-  obs::TraceSink interp_trace, data_trace, timing_trace;
+  obs::TraceSink data_trace, timing_trace;
   const auto engine_with = [&m](obs::TraceSink& sink) {
     sim::EngineOptions opt;
     opt.trace = &sink;
     return sim::Engine(m, opt);
   };
 
-  const auto interp = engine_with(interp_trace).run(program, init);
   const auto compiled = sim::compile(program, m);
   const auto data = engine_with(data_trace).run(compiled, init);
   const auto timing = engine_with(timing_trace).run_timing(compiled);
 
-  EXPECT_EQ(interp.total_time, data.total_time) << what;    // exact, not approximate
-  EXPECT_EQ(interp.total_time, timing.total_time) << what;
-  EXPECT_EQ(interp.total_hops, data.total_hops) << what;
-  EXPECT_EQ(interp.total_hops, timing.total_hops) << what;
-  EXPECT_EQ(interp.memory, expected) << what << " (interpreted misplaced data)";
+  EXPECT_EQ(data.total_time, timing.total_time) << what;  // exact, not approximate
+  EXPECT_EQ(data.total_hops, timing.total_hops) << what;
   EXPECT_EQ(data.memory, expected) << what << " (compiled misplaced data)";
   EXPECT_TRUE(timing.memory.empty()) << what;
 
-  expect_same_trace(interp_trace, data_trace, what + " interp-vs-data");
-  expect_same_trace(interp_trace, timing_trace, what + " interp-vs-timing");
-  EXPECT_EQ(interp_trace.nodes(), t.nodes()) << what;
-  EXPECT_EQ(interp_trace.dimensions(), t.ports()) << what;
+  expect_same_trace(data_trace, timing_trace, what + " data-vs-timing");
+  EXPECT_EQ(data_trace.nodes(), t.nodes()) << what;
+  EXPECT_EQ(data_trace.dimensions(), t.ports()) << what;
 
   // Pure data semantics (no machine model) and the threaded runtime.
   EXPECT_EQ(sim::apply_data(program, init), expected) << what << " (apply_data)";
