@@ -2,10 +2,10 @@
 
 #include <cstdlib>
 #include <thread>
-#include <utility>
 
 #include "fault/fault.hpp"
 #include "topology/partition.hpp"
+#include "topology/topology.hpp"
 
 namespace nct::shard {
 
@@ -34,7 +34,8 @@ std::uint32_t AutoPolicy::effective_shards() const noexcept {
 AutoPolicy AutoPolicy::from_env() noexcept {
   AutoPolicy p;
   p.min_nodes = static_cast<word>(env_u64("NCT_SHARD_MIN_NODES", p.min_nodes));
-  p.shards = static_cast<std::uint32_t>(env_u64("NCT_SHARD_THREADS", 0));
+  const std::uint64_t shards = env_u64("NCT_SHARD_THREADS", 0);
+  if (shards <= kMaxShards) p.shards = static_cast<std::uint32_t>(shards);
   return p;
 }
 
@@ -42,56 +43,25 @@ std::size_t run_timing_batch_auto(const sim::Engine& engine,
                                   std::span<const sim::CompiledProgram* const> programs,
                                   sim::BatchScratch& batch, int jobs, AutoScratch& scratch,
                                   const AutoPolicy& policy) {
-  const bool sharding_on = policy.min_nodes > 0;
-  bool any_large = false;
-  if (sharding_on) {
-    for (const sim::CompiledProgram* const p : programs) {
-      if (p->nodes() >= policy.min_nodes) {
-        any_large = true;
-        break;
-      }
-    }
-  }
-  if (!any_large) return engine.run_timing_batch(programs, batch, jobs);
+  // Every program of a valid batch runs on the engine's machine (both
+  // engines reject any other with ProgramError), so one decision covers
+  // the whole batch.
+  if (programs.empty() || policy.min_nodes == 0 || engine.params().nodes() < policy.min_nodes)
+    return engine.run_timing_batch(programs, batch, jobs);
 
-  if (batch.runs.size() < programs.size()) batch.runs.resize(programs.size());
-
-  scratch.progs.clear();
-  scratch.index.clear();
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    if (programs[i]->nodes() < policy.min_nodes) {
-      scratch.progs.push_back(programs[i]);
-      scratch.index.push_back(i);
-    }
-  }
-
-  std::size_t ok = 0;
-
-  // Small programs: one ordinary batch, results swapped back to their
-  // original indices (swap keeps both scratches' storage grow-only).
-  if (!scratch.progs.empty()) {
-    ok += engine.run_timing_batch(scratch.progs, scratch.small, jobs);
-    for (std::size_t k = 0; k < scratch.progs.size(); ++k) {
-      sim::BatchRun& dst = batch.runs[scratch.index[k]];
-      sim::BatchRun& src = scratch.small.runs[k];
-      std::swap(dst.result, src.result);
-      dst.ok = src.ok;
-      dst.error = std::move(src.error);
-    }
-  }
-
-  // Large programs: sharded, one after another (each run parallelises
+  // Sharded, one program after another (each run parallelises
   // internally across its shards).  Same per-slot FaultError capture as
   // the batched engine.
+  if (batch.runs.size() < programs.size()) batch.runs.resize(programs.size());
   const ShardEngine sharded(engine.params(), engine.options());
+  const topo::Partition part =
+      topo::make_partition(*topo::make_topology(engine.params().topology, engine.params().n),
+                           policy.effective_shards());
+  std::size_t ok = 0;
   for (std::size_t i = 0; i < programs.size(); ++i) {
-    const sim::CompiledProgram* const p = programs[i];
-    if (p->nodes() < policy.min_nodes) continue;
     sim::BatchRun& slot = batch.runs[i];
-    const topo::Partition part =
-        topo::make_partition(p->topology(), policy.effective_shards());
     try {
-      sharded.run_timing(*p, part, scratch.shard, slot.result);
+      sharded.run_timing(*programs[i], part, scratch.shard, slot.result);
       slot.ok = true;
       slot.error.clear();
       ++ok;

@@ -2,26 +2,29 @@
 // engine.
 //
 // `run_timing_batch_auto` is a drop-in replacement for
-// `sim::Engine::run_timing_batch`: programs on machines below the
-// size threshold execute through the ordinary batched engine, programs
-// at or above it through `ShardEngine` with the topology's natural
-// partition.  Because the sharded path is bit-identical to the
-// single-thread path for every program (see shard/engine.hpp), callers
-// observe exactly the same results either way — the routing is purely a
-// resource decision, which is why the tuner and the transpose service
-// can adopt it without changing any golden output.
+// `sim::Engine::run_timing_batch`.  Every program of a valid batch runs
+// on the engine's machine (a program compiled for another machine
+// raises ProgramError on either path), so the routing is decided once
+// per batch: an engine machine below the size threshold runs the
+// ordinary batched engine, one at or above it runs every program
+// through `ShardEngine` with the topology's natural partition.  Because
+// the sharded path is bit-identical to the single-thread path for every
+// program (see shard/engine.hpp), callers observe exactly the same
+// results either way — the routing is purely a resource decision, which
+// is why the tuner and the transpose service can adopt it without
+// changing any golden output.
 //
 // Policy knobs (environment overrides for operators, see from_env):
 //   NCT_SHARD_MIN_NODES  — machine size at which runs go sharded
 //                          (default 16384; 0 disables the sharded path);
 //   NCT_SHARD_THREADS    — shard count to request (default: hardware
-//                          concurrency; the partitioner clamps to what
-//                          the topology can cut).
+//                          concurrency; at most AutoPolicy::kMaxShards;
+//                          the partitioner clamps to what the topology
+//                          can cut).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "shard/engine.hpp"
 #include "sim/batch.hpp"
@@ -31,6 +34,10 @@ namespace nct::shard {
 /// When and how widely to shard.  Defaults match from_env() with no
 /// environment set.
 struct AutoPolicy {
+  /// Largest NCT_SHARD_THREADS value from_env accepts: each shard is a
+  /// host thread, so a larger value is treated like an unparsable one.
+  static constexpr std::uint32_t kMaxShards = 256;
+
   /// Route a program through the sharded engine when its machine has at
   /// least this many nodes; 0 disables sharding entirely.
   word min_nodes = word{1} << 14;
@@ -43,17 +50,15 @@ struct AutoPolicy {
   std::uint32_t effective_shards() const noexcept;
 
   /// Policy with NCT_SHARD_MIN_NODES / NCT_SHARD_THREADS applied
-  /// (unset or unparsable variables keep the defaults).
+  /// (unset or unparsable variables, and a shard count above
+  /// kMaxShards, keep the defaults).
   static AutoPolicy from_env() noexcept;
 };
 
 /// Grow-only storage for run_timing_batch_auto, reusable across calls
 /// (same contract as sim::BatchScratch: one per concurrent call).
 struct AutoScratch {
-  sim::BatchScratch small;  ///< sub-batch over the non-sharded programs.
-  ShardScratch shard;       ///< shared by the sharded runs (serial).
-  std::vector<const sim::CompiledProgram*> progs;  ///< small-program span.
-  std::vector<std::size_t> index;                  ///< their original indices.
+  ShardScratch shard;  ///< shared by the sharded runs (serial).
 };
 
 /// Batched timing-only execution with automatic shard routing.  Same

@@ -35,26 +35,23 @@ struct Shared {
   std::uint32_t t_pid = 0;
 };
 
-template <bool kTrace, bool kLean>
+template <bool kLean>
 void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& options,
                  const sim::CompiledProgram& cp, const topo::Partition& part,
                  ShardScratch& ss, sim::RunResult& out, ShardStats* stats_out) {
   const int ports = cp.ports();
   const std::uint32_t nshards = part.shards;
 
-  obs::TraceSink* const sink = options.trace;
   // Shared big arrays: compact link state, dense node state — exactly
   // the single-thread scratch, reset the same way.
   sim::RunScratch& base = ss.base;
   sim::detail::FaultGate gate;
   const sim::detail::ExecEnv env =
-      sim::detail::begin_run<kTrace>(params, options, cp, base, out, gate);
+      sim::detail::begin_run<false>(params, options, cp, base, out, gate);
   out.memory.clear();
 
   const auto& phases = cp.phases();
   const auto& sends = cp.send_ops();
-  const auto& copies = cp.copy_ops();
-  const auto& stages = cp.stage_ops();
   const std::uint32_t* const link_pool = env.link_pool;
   const std::uint32_t* const link_global = env.link_global;
   const std::uint32_t* const node_owner = part.owner.data();
@@ -99,6 +96,7 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
   std::atomic<bool> abort{false};
   std::exception_ptr error;
   std::size_t windows = 0, serial_events = 0;
+  const auto no_copy = [](const sim::CompiledCopy&) {};
   std::barrier<> sync(static_cast<std::ptrdiff_t>(nshards));
 
   const auto thread_body = [&](const std::uint32_t me) {
@@ -108,52 +106,13 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
     for (std::int32_t phase_index = 0;
          phase_index < static_cast<std::int32_t>(phases.size()); ++phase_index) {
       const sim::CompiledPhase& ph = phases[static_cast<std::size_t>(phase_index)];
-      sim::PhaseStats& stats = out.phases[static_cast<std::size_t>(phase_index)];
       const sim::CompiledSend* const phase_sends = sends.data() + ph.send_begin;
       const std::uint32_t nsends = ph.send_end - ph.send_begin;
       const std::uint64_t seq_base = global_seq;
       global_seq += nsends;
 
-      // Node clocks are read as max(node_done[x], clock), exactly like
-      // the single-thread path (see sim/compile.cpp).
-      const auto charge = [&](word node, double cost, std::uint64_t bytes, bool is_stage) {
-        double& done = node_done[static_cast<std::size_t>(node)];
-        const double base_t = done > shared.clock ? done : shared.clock;
-        if constexpr (kTrace) {
-          if (is_stage) {
-            sink->stage(phase_index, node, bytes, base_t, base_t + cost);
-          } else {
-            sink->copy(phase_index, node, bytes, base_t, base_t + cost);
-          }
-        }
-        done = base_t + cost;
-        if (done > stats.end) stats.end = done;
-      };
-
-      if (me == 0) {
-        stats.label = ph.label;
-        stats.start = shared.clock;
-        stats.end = 0.0;
-        stats.copy_time = ph.copy_time;
-        if constexpr (kTrace) sink->phase_begin(phase_index, ph.label, shared.clock);
-        for (std::uint32_t i = ph.pre_copy_begin; i < ph.pre_copy_end; ++i) {
-          const sim::CompiledCopy& c = copies[i];
-          if (c.charged)
-            charge(c.node, c.cost,
-                   static_cast<std::uint64_t>(c.count) *
-                       static_cast<std::uint64_t>(params.element_bytes),
-                   false);
-        }
-        for (std::uint32_t i = ph.stage_begin; i < ph.stage_end; ++i)
-          charge(stages[i].node, stages[i].cost, stages[i].bytes, true);
-        stats.sends = ph.sends;
-        stats.elements = ph.elements;
-        stats.hops = ph.hops;
-        out.total_sends += stats.sends;
-        out.total_elements += stats.elements;
-        out.total_hops += stats.hops;
-        out.total_reroutes += ph.reroutes;
-      }
+      if (me == 0)
+        sim::detail::open_phase<false>(env, cp, phase_index, shared.clock, out, no_copy);
       sync.arrive_and_wait();  // prologue charges visible; node_done stable
 
       // Injection: each shard enqueues the packets whose first link it
@@ -195,11 +154,10 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
         const sim::CompiledSend& s = phase_sends[ev.pid];
         const std::uint64_t seq = seq_base + ev.pid;
         if (cut_through) {
-          sim::detail::step_cut_through<kTrace, kLean>(env, phase_index, s, ev.ready, seq,
-                                                       dlv);
+          sim::detail::step_cut_through<false, kLean>(env, phase_index, s, ev.ready, seq, dlv);
         } else {
-          sim::detail::step_store_forward<kTrace, kLean>(env, phase_index, ev.pid, s,
-                                                         ev.ready, seq, fwd, dlv);
+          sim::detail::step_store_forward<false, kLean>(env, phase_index, ev.pid, s, ev.ready,
+                                                        seq, fwd, dlv);
         }
       };
 
@@ -230,38 +188,7 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
         return false;
       };
 
-      // A trace sink observes one globally ordered event stream, and a
-      // zero-lookahead phase admits no window: both run the exact
-      // serial sweep (k-way pop over the shard queues — identical
-      // (ready, pid) order to the single-queue engine).
-      const bool serial_phase = kTrace || (!cut_through && ph.lookahead <= 0.0);
-
-      if (nsends > 0 && serial_phase) {
-        if (me == 0) {
-          try {
-            for (;;) {
-              std::uint32_t best = nshards;
-              for (std::uint32_t s = 0; s < nshards; ++s) {
-                if (ss.shards[s].queue.empty()) continue;
-                const Event& t = ss.shards[s].queue.top();
-                if (best == nshards ||
-                    ev_less(t.ready, t.pid, ss.shards[best].queue.top().ready,
-                            ss.shards[best].queue.top().pid))
-                  best = s;
-              }
-              if (best == nshards) break;
-              const Event ev = ss.shards[best].queue.pop();
-              run_event(ev, forward_direct, deliver_direct);
-              ++serial_events;
-            }
-          } catch (...) {
-            error = std::current_exception();
-            abort.store(true);
-          }
-        }
-        sync.arrive_and_wait();
-        if (abort.load()) return;
-      } else if (nsends > 0) {
+      if (nsends > 0) {
         for (;;) {
           sh.min_ready = sh.queue.empty() ? kInf : sh.queue.top().ready;
           sync.arrive_and_wait();  // W1: fronts published
@@ -358,6 +285,7 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
 
       if (me == 0) {
         // Fold the deferred deliveries: exact, order-free (fp max).
+        sim::PhaseStats& stats = out.phases[static_cast<std::size_t>(phase_index)];
         for (std::uint32_t s = 0; s < nshards; ++s) {
           for (const ShardScratch::Delivery& d : ss.shards[s].deliveries) {
             double& done = node_done[static_cast<std::size_t>(d.dst)];
@@ -366,20 +294,8 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
           }
           ss.shards[s].deliveries.clear();
         }
-        for (std::uint32_t i = ph.post_stage_begin; i < ph.post_stage_end; ++i)
-          charge(stages[i].node, stages[i].cost, stages[i].bytes, true);
-        for (std::uint32_t i = ph.post_copy_begin; i < ph.post_copy_end; ++i) {
-          const sim::CompiledCopy& c = copies[i];
-          if (c.charged)
-            charge(c.node, c.cost,
-                   static_cast<std::uint64_t>(c.count) *
-                       static_cast<std::uint64_t>(params.element_bytes),
-                   false);
-        }
-        stats.end = std::max(stats.end, stats.start);
-        if constexpr (kTrace) sink->phase_end(phase_index, stats.end);
-        shared.clock = stats.end;
-        out.total_copy_time += stats.copy_time;
+        shared.clock =
+            sim::detail::close_phase<false>(env, cp, phase_index, shared.clock, out, no_copy);
       }
       sync.arrive_and_wait();  // epilogue visible (clock, node_done)
     }
@@ -452,12 +368,31 @@ void ShardEngine::run_timing(const sim::CompiledProgram& compiled,
   for (const std::uint32_t o : partition.owner)
     if (o >= partition.shards) throw sim::ProgramError("partition owner out of range");
 
-  if (options_.trace) {
-    run_sharded<true, false>(params_, options_, compiled, partition, scratch, out, stats);
+  // A traced run observes one globally ordered event stream, and a
+  // store-and-forward phase without lookahead admits no window: both run
+  // as the single-thread engine's run, every event on the serial spine.
+  bool serial = options_.trace != nullptr;
+  if (params_.switching == sim::Switching::store_and_forward)
+    for (const sim::CompiledPhase& ph : compiled.phases())
+      serial = serial || (ph.send_end > ph.send_begin && ph.lookahead <= 0.0);
+  if (serial) {
+    sim::Engine(params_, options_).run_timing(compiled, scratch.base, out);
+    if (stats) {
+      stats->shards = partition.shards;
+      stats->windows = 0;
+      stats->parallel_events = 0;
+      // One event per send (cut-through) or per hop (a fault retry waits
+      // inline and does not re-inject).
+      stats->serial_events = params_.switching == sim::Switching::cut_through
+                                 ? out.total_sends
+                                 : out.total_hops;
+      stats->shard_events.assign(partition.shards, 0);
+      stats->shard_nodes = partition.counts();
+    }
   } else if (options_.faults && !options_.faults->empty()) {
-    run_sharded<false, false>(params_, options_, compiled, partition, scratch, out, stats);
+    run_sharded<false>(params_, options_, compiled, partition, scratch, out, stats);
   } else {
-    run_sharded<false, true>(params_, options_, compiled, partition, scratch, out, stats);
+    run_sharded<true>(params_, options_, compiled, partition, scratch, out, stats);
   }
 }
 

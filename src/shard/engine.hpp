@@ -37,15 +37,15 @@
 //    identical order, identical doubles.  Deliveries (node-done clocks,
 //    phase end) are folded at the phase barrier, exact because fp max
 //    is associative and commutative.
-//  * Zero lookahead or an event-trace sink degrades to an exact serial
-//    sweep over the shard queues (still one event stream, still
-//    bit-identical) — correctness never depends on the partition.
+//  * Serial runs.  A traced run (one globally ordered event stream) or
+//    one with a store-and-forward phase of zero lookahead (no window
+//    can open) is the single-thread engine's run on the shared scratch;
+//    ShardStats then counts every event as serial.
 //
 // The engine is timing-only (the sharded path exists for machines far
 // too large to hold per-node memory images; data-mode correctness is
 // established at small scale by the golden tests).  Faults, retry
-// policies, link traces and event traces are honoured exactly as in
-// `sim::Engine`.
+// policies and event traces are honoured exactly as in `sim::Engine`.
 #pragma once
 
 #include <algorithm>

@@ -44,7 +44,6 @@ std::string node_slot_str(word node, slot s) {
 template <bool kData, bool kTrace, bool kLean>
 void run_compiled_into(const MachineParams& params, const EngineOptions& options,
                        const CompiledProgram& cp, RunScratch& scratch, RunResult& out) {
-  obs::TraceSink* const sink = options.trace;
   detail::FaultGate gate;
   const detail::ExecEnv env = detail::begin_run<kTrace>(params, options, cp, scratch, out, gate);
   scratch.queue.clear();  // no-op unless a faulted run aborted mid-phase
@@ -57,8 +56,6 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
 
   const auto& phases = cp.phases();
   const auto& sends = cp.send_ops();
-  const auto& copies = cp.copy_ops();
-  const auto& stages = cp.stage_ops();
   const auto& slot_pool = cp.slot_pool();
   double* const node_done = scratch.node_done.data();
   std::uint32_t* const pkt_hop = env.pkt_hop;
@@ -68,65 +65,30 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
   std::uint64_t global_seq = 0;
 
   auto apply_copy = [&](const CompiledCopy& c) {
-    auto& local = out.memory[static_cast<std::size_t>(c.node)];
-    scratch.copy_vals.resize(c.count);
-    const slot* src = slot_pool.data() + c.slot_off;
-    const slot* dst = src + c.count;
-    for (std::uint32_t i = 0; i < c.count; ++i) {
-      const word v = local[static_cast<std::size_t>(src[i])];
-      if (v == kEmptySlot) fail_slot("copy reads empty ", c.node, src[i]);
-      scratch.copy_vals[i] = v;
+    if constexpr (kData) {
+      auto& local = out.memory[static_cast<std::size_t>(c.node)];
+      scratch.copy_vals.resize(c.count);
+      const slot* src = slot_pool.data() + c.slot_off;
+      const slot* dst = src + c.count;
+      for (std::uint32_t i = 0; i < c.count; ++i) {
+        const word v = local[static_cast<std::size_t>(src[i])];
+        if (v == kEmptySlot) fail_slot("copy reads empty ", c.node, src[i]);
+        scratch.copy_vals[i] = v;
+      }
+      for (std::uint32_t i = 0; i < c.count; ++i)
+        local[static_cast<std::size_t>(src[i])] = kEmptySlot;
+      for (std::uint32_t i = 0; i < c.count; ++i)
+        local[static_cast<std::size_t>(dst[i])] = scratch.copy_vals[i];
     }
-    for (std::uint32_t i = 0; i < c.count; ++i)
-      local[static_cast<std::size_t>(src[i])] = kEmptySlot;
-    for (std::uint32_t i = 0; i < c.count; ++i)
-      local[static_cast<std::size_t>(dst[i])] = scratch.copy_vals[i];
   };
 
   std::int32_t phase_index = -1;
   for (const CompiledPhase& ph : phases) {
     ++phase_index;
     PhaseStats& stats = out.phases[static_cast<std::size_t>(phase_index)];
-    stats.label = ph.label;
-    stats.start = clock;
-    stats.end = 0.0;
-    stats.copy_time = ph.copy_time;
-    if constexpr (kTrace) sink->phase_begin(phase_index, ph.label, clock);
 
-    // A node clock is read as max(node_done[x], clock): entries touched
-    // this phase carry their accumulated value (> clock only through
-    // charges/arrivals of this phase), untouched entries hold a value
-    // from an earlier phase, <= that phase's end <= clock, so the max
-    // reproduces the former clock-fill bit-for-bit without the O(nodes)
-    // per-phase reset.
-    const auto charge = [&](word node, double cost, std::uint64_t bytes, bool is_stage) {
-      double& done = node_done[static_cast<std::size_t>(node)];
-      const double base = done > clock ? done : clock;
-      if constexpr (kTrace) {
-        if (is_stage) {
-          sink->stage(phase_index, node, bytes, base, base + cost);
-        } else {
-          sink->copy(phase_index, node, bytes, base, base + cost);
-        }
-      }
-      done = base + cost;
-      if (done > stats.end) stats.end = done;
-    };
-
-    // 1. Pre-copies.
-    for (std::uint32_t i = ph.pre_copy_begin; i < ph.pre_copy_end; ++i) {
-      const CompiledCopy& c = copies[i];
-      if constexpr (kData) apply_copy(c);
-      if (c.charged)
-        charge(c.node, c.cost,
-               static_cast<std::uint64_t>(c.count) *
-                   static_cast<std::uint64_t>(params.element_bytes),
-               false);
-    }
-
-    // 2. Staging charges.
-    for (std::uint32_t i = ph.stage_begin; i < ph.stage_end; ++i)
-      charge(stages[i].node, stages[i].cost, stages[i].bytes, true);
+    // 1-2. Stats row, pre-copies and staging charges.
+    detail::open_phase<kTrace>(env, cp, phase_index, clock, out, apply_copy);
 
     // 3. Data movement.  Reading every payload before emptying any source
     // slot gives every send the memory as of the start of this step
@@ -169,7 +131,6 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
     const std::uint32_t nsends = ph.send_end - ph.send_begin;
     const std::uint64_t seq_base = global_seq;
     global_seq += nsends;
-    out.total_reroutes += ph.reroutes;
     detail::CalendarQueue& queue = scratch.queue;
     queue.begin_phase(clock, cp.event_dt_hint());
     for (std::uint32_t pid = 0; pid < nsends; ++pid) {
@@ -177,12 +138,6 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
       queue.push(pid, nd > clock ? nd : clock);
       if (!cut_through) pkt_hop[pid] = 0;
     }
-    stats.sends = ph.sends;
-    stats.elements = ph.elements;
-    stats.hops = ph.hops;
-    out.total_sends += stats.sends;
-    out.total_elements += stats.elements;
-    out.total_hops += stats.hops;
 
     const auto deliver = [&](word dst, double end) {
       double& dst_done = node_done[static_cast<std::size_t>(dst)];
@@ -203,27 +158,8 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
       }
     }
 
-    // 5. Scatter charges.
-    for (std::uint32_t i = ph.post_stage_begin; i < ph.post_stage_end; ++i)
-      charge(stages[i].node, stages[i].cost, stages[i].bytes, true);
-
-    // 6. Post-copies.
-    for (std::uint32_t i = ph.post_copy_begin; i < ph.post_copy_end; ++i) {
-      const CompiledCopy& c = copies[i];
-      if constexpr (kData) apply_copy(c);
-      if (c.charged)
-        charge(c.node, c.cost,
-               static_cast<std::uint64_t>(c.count) *
-                   static_cast<std::uint64_t>(params.element_bytes),
-               false);
-    }
-
-    stats.end = std::max(stats.end, stats.start);
-    if constexpr (kTrace) sink->phase_end(phase_index, stats.end);
-    clock = stats.end;
-    out.total_copy_time += stats.copy_time;
-    // No barrier reset: stale availability entries are <= clock and every
-    // read below clamps against a value >= the next phase's start.
+    // 5-6. Scatter charges and post-copies.
+    clock = detail::close_phase<kTrace>(env, cp, phase_index, clock, out, apply_copy);
   }
 
   detail::end_run(env, cp, clock, out);

@@ -1,7 +1,7 @@
-// Internal: the run prologue/epilogue and the per-event timing
-// arithmetic shared by the single-thread compiled engine
-// (sim/compile.cpp) and the sharded conservative engine
-// (shard/engine.cpp).
+// Internal: the run prologue/epilogue, the phase open/close (stats row,
+// copy and staging charges) and the per-event timing arithmetic shared
+// by the single-thread compiled engine (sim/compile.cpp) and the
+// sharded conservative engine (shard/engine.cpp).
 //
 // The sharded engine's contract is *bit-identical* simulated times to
 // the single-thread timing path.  The only way to keep that promise
@@ -12,8 +12,11 @@
 // strips the fault-gate branches).  The golden tests in
 // tests/sim/ and tests/shard/ enforce the equality from both sides.
 //
-// Callers differ only in what happens *around* an event, which is
-// injected through two hooks:
+// Callers differ only in what happens *around* the shared code, which
+// is injected through hooks:
+//  * OnCopy(copy)         — runs before each copy's charge (data mode:
+//    move the slots, so an empty-slot read throws first; sharded path:
+//    nothing);
 //  * OnForward(pid, end)  — a store-and-forward packet finished a
 //    non-final hop and must be re-injected at time `end` (serial path:
 //    push into the calendar queue; sharded path: push locally or into a
@@ -60,6 +63,7 @@ struct ExecEnv {
   double* link_busy_total = nullptr;  ///< compact-indexed.
   double* send_free = nullptr;        ///< node-indexed.
   double* recv_free = nullptr;        ///< node-indexed.
+  double* node_done = nullptr;        ///< node-indexed.
   std::uint32_t* pkt_hop = nullptr;   ///< per-pid next hop (store-and-forward).
 
   // Instrumentation (consulted per kTrace / kLean flags).
@@ -136,6 +140,7 @@ inline ExecEnv begin_run(const MachineParams& params, const EngineOptions& optio
   env.link_busy_total = scratch.link_busy_total.data();
   env.send_free = scratch.send_free.data();
   env.recv_free = scratch.recv_free.data();
+  env.node_done = scratch.node_done.data();
   env.pkt_hop = scratch.pkt_hop.data();
   env.sink = sink;
   env.gate = &gate;
@@ -153,6 +158,95 @@ inline void end_run(const ExecEnv& env, const CompiledProgram& cp, double clock,
   for (std::size_t ci = 0; ci < cp.active_links().size(); ++ci)
     max_busy = std::max(max_busy, env.link_busy_total[ci]);
   out.max_link_busy = max_busy;
+}
+
+/// Charge `cost` to `node`, whose clock is read as max(node_done[x],
+/// clock): entries touched this phase carry their accumulated value,
+/// untouched ones a value from an earlier phase, <= that phase's end <=
+/// clock, so the max reproduces a per-phase clock-fill bit-for-bit
+/// without the O(nodes) reset.
+template <bool kTrace>
+inline void charge(const ExecEnv& env, std::int32_t phase_index, double clock,
+                   PhaseStats& stats, word node, double cost, std::uint64_t bytes,
+                   obs::EventKind kind) {
+  double& done = env.node_done[static_cast<std::size_t>(node)];
+  const double base = done > clock ? done : clock;
+  if constexpr (kTrace) {
+    if (kind == obs::EventKind::stage) {
+      env.sink->stage(phase_index, node, bytes, base, base + cost);
+    } else {
+      env.sink->copy(phase_index, node, bytes, base, base + cost);
+    }
+  }
+  done = base + cost;
+  if (done > stats.end) stats.end = done;
+}
+
+/// Copies [begin, end), each first through `on_copy` (data mode moves
+/// its slots there, so an empty-slot read throws before the charge).
+template <bool kTrace, class OnCopy>
+inline void run_copies(const ExecEnv& env, const CompiledProgram& cp, std::int32_t phase_index,
+                       double clock, PhaseStats& stats, std::uint32_t begin, std::uint32_t end,
+                       OnCopy&& on_copy) {
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const CompiledCopy& c = cp.copy_ops()[i];
+    on_copy(c);
+    if (c.charged)
+      charge<kTrace>(env, phase_index, clock, stats, c.node, c.cost,
+                     std::uint64_t{c.count} * static_cast<std::uint64_t>(env.params->element_bytes),
+                     obs::EventKind::copy);
+  }
+}
+
+/// The phase prologue of both executors, before any send is injected:
+/// the stats row, `phase_begin`, pre-copies, staging charges and the
+/// phase's share of the run totals.
+template <bool kTrace, class OnCopy>
+inline void open_phase(const ExecEnv& env, const CompiledProgram& cp, std::int32_t phase_index,
+                       double clock, RunResult& out, OnCopy&& on_copy) {
+  const CompiledPhase& ph = cp.phases()[static_cast<std::size_t>(phase_index)];
+  PhaseStats& stats = out.phases[static_cast<std::size_t>(phase_index)];
+  stats.label = ph.label;
+  stats.start = clock;
+  stats.end = 0.0;
+  stats.copy_time = ph.copy_time;
+  if constexpr (kTrace) env.sink->phase_begin(phase_index, ph.label, clock);
+  run_copies<kTrace>(env, cp, phase_index, clock, stats, ph.pre_copy_begin, ph.pre_copy_end,
+                     on_copy);
+  for (std::uint32_t i = ph.stage_begin; i < ph.stage_end; ++i) {
+    const CompiledStage& st = cp.stage_ops()[i];
+    charge<kTrace>(env, phase_index, clock, stats, st.node, st.cost, st.bytes,
+                   obs::EventKind::stage);
+  }
+  stats.sends = ph.sends;
+  stats.elements = ph.elements;
+  stats.hops = ph.hops;
+  out.total_sends += ph.sends;
+  out.total_elements += ph.elements;
+  out.total_hops += ph.hops;
+  out.total_reroutes += ph.reroutes;
+}
+
+/// The phase epilogue of both executors, once every arrival is folded
+/// into node_done and stats.end: scatter charges, post-copies, the
+/// clamp of stats.end and `phase_end`.  Returns the next phase's clock.
+template <bool kTrace, class OnCopy>
+inline double close_phase(const ExecEnv& env, const CompiledProgram& cp,
+                          std::int32_t phase_index, double clock, RunResult& out,
+                          OnCopy&& on_copy) {
+  const CompiledPhase& ph = cp.phases()[static_cast<std::size_t>(phase_index)];
+  PhaseStats& stats = out.phases[static_cast<std::size_t>(phase_index)];
+  for (std::uint32_t i = ph.post_stage_begin; i < ph.post_stage_end; ++i) {
+    const CompiledStage& st = cp.stage_ops()[i];
+    charge<kTrace>(env, phase_index, clock, stats, st.node, st.cost, st.bytes,
+                   obs::EventKind::stage);
+  }
+  run_copies<kTrace>(env, cp, phase_index, clock, stats, ph.post_copy_begin, ph.post_copy_end,
+                     on_copy);
+  stats.end = std::max(stats.end, stats.start);
+  if constexpr (kTrace) env.sink->phase_end(phase_index, stats.end);
+  out.total_copy_time += stats.copy_time;
+  return stats.end;
 }
 
 /// Cut-through: the whole route is reserved at once and the packet

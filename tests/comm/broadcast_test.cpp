@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "runtime/executor.hpp"
 #include "sim/engine.hpp"
 
@@ -25,6 +27,10 @@ struct Case {
   int n;
   word k;
 };
+
+/// Names each case `n<n>_k<k>`: without it gtest prints the raw bytes,
+/// padding included, and the test names change from build to build.
+void PrintTo(const Case& c, std::ostream* os) { *os << "n" << c.n << "_k" << c.k; }
 
 class Broadcast : public ::testing::TestWithParam<Case> {};
 
