@@ -185,8 +185,7 @@ PipelineResult Pipeline::run(sim::Memory current, const PipelineOptions& options
     StageReport report;
     report.name = stage.name();
     report.comm = stage.is_comm();
-    sim::Memory exit_expected;
-    if (options.verify) exit_expected = stage.expected(current);
+    const sim::Memory exit_expected = stage.expected(current);
     if (options.trace != nullptr)
       options.trace->stage_boundary(static_cast<std::int32_t>(i), clock);
     try {
@@ -240,12 +239,10 @@ PipelineResult Pipeline::run(sim::Memory current, const PipelineOptions& options
     } catch (const sim::ProgramError& e) {
       throw PipelineError("stage " + stage.name() + ": " + e.what());
     }
-    if (options.verify) {
-      const sim::VerifyResult v = sim::verify_memory(current, exit_expected);
-      if (!v.ok)
-        throw PipelineError("stage " + stage.name() +
-                            " violated its placement contract: " + v.message);
-    }
+    const sim::VerifyResult v = sim::verify_memory(current, exit_expected);
+    if (!v.ok)
+      throw PipelineError("stage " + stage.name() +
+                          " violated its placement contract: " + v.message);
     result.stages.push_back(std::move(report));
   }
   result.seconds = clock;

@@ -146,7 +146,8 @@ class MoveStage final : public Stage {
 /// bit-identically on the final memory image; `timing` additionally
 /// reports simulated seconds without moving payloads (placement advances
 /// via sim::apply_data), and `threads` runs real message-passing threads
-/// (no simulated clock, so stage seconds read 0).
+/// (no simulated clock, so stage seconds read 0).  Every path checks
+/// each stage's placement contract (Pipeline::run).
 enum class ExecPath { compiled, timing, threads };
 
 struct PipelineOptions {
@@ -162,9 +163,6 @@ struct PipelineOptions {
   /// obs::split_stages can window analyzers per stage.  Ignored on the
   /// threads path (no simulated timestamps).
   obs::TraceSink* trace = nullptr;
-  /// Check every stage's placement contract (the point of the exercise;
-  /// off only for benchmarking loops).
-  bool verify = true;
   /// Per-stage plan choice, parallel to Pipeline::stages() (compute
   /// stages ignore theirs).  Empty = naive: every comm stage runs its
   /// space()[0].

@@ -304,31 +304,4 @@ MetricsReport collect_metrics(const TraceSink& trace) {
   return reg.snapshot();
 }
 
-MetricsReport collect_metrics(const TraceSink& trace, const ShardBalance& balance) {
-  MetricsReport report = collect_metrics(trace);
-  const double parallel = static_cast<double>(balance.parallel_events);
-  const double serial = static_cast<double>(balance.serial_events);
-  const double total = parallel + serial;
-  report.scalars.push_back({"shard/count", static_cast<double>(balance.shards), ""});
-  report.scalars.push_back({"shard/windows", static_cast<double>(balance.windows), ""});
-  report.scalars.push_back({"shard/parallel_events", parallel, ""});
-  report.scalars.push_back({"shard/serial_events", serial, ""});
-  report.scalars.push_back(
-      {"shard/parallel_share", total > 0.0 ? 100.0 * parallel / total : 0.0, "%"});
-  std::size_t ev_min = 0, ev_max = 0;
-  double imbalance = 0.0;
-  if (!balance.shard_events.empty()) {
-    ev_min = *std::min_element(balance.shard_events.begin(), balance.shard_events.end());
-    ev_max = *std::max_element(balance.shard_events.begin(), balance.shard_events.end());
-    double sum = 0.0;
-    for (const std::size_t c : balance.shard_events) sum += static_cast<double>(c);
-    const double mean = sum / static_cast<double>(balance.shard_events.size());
-    imbalance = mean > 0.0 ? static_cast<double>(ev_max) / mean : 0.0;
-  }
-  report.scalars.push_back({"shard/imbalance", imbalance, ""});
-  report.scalars.push_back({"shard/events_min", static_cast<double>(ev_min), ""});
-  report.scalars.push_back({"shard/events_max", static_cast<double>(ev_max), ""});
-  return report;
-}
-
 }  // namespace nct::obs

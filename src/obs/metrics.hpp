@@ -101,22 +101,4 @@ using MetricsReport = MetricsRegistry::Report;
 ///   fault/extra_hops (hops beyond Hamming distance on rerouted messages).
 MetricsReport collect_metrics(const TraceSink& trace);
 
-/// Execution-balance counters of one sharded-engine run (field-for-field
-/// the observable part of shard::ShardStats; obs cannot depend on
-/// src/shard, so callers copy the five fields across).
-struct ShardBalance {
-  std::size_t shards = 0;
-  std::size_t windows = 0;          ///< lookahead windows across all phases.
-  std::size_t parallel_events = 0;  ///< events run on their owner shard.
-  std::size_t serial_events = 0;    ///< events run on the serial spine (stalls).
-  std::vector<std::size_t> shard_events;  ///< parallel events per shard.
-};
-
-/// collect_metrics plus the sharded-execution balance scalars:
-///   shard/count, shard/windows, shard/parallel_events,
-///   shard/serial_events, shard/parallel_share (%),
-///   shard/imbalance (max/mean of per-shard parallel events),
-///   shard/events_min, shard/events_max.
-MetricsReport collect_metrics(const TraceSink& trace, const ShardBalance& balance);
-
 }  // namespace nct::obs

@@ -203,26 +203,10 @@ bool write_chrome_trace_file(const TraceSink& trace, const std::string& path) {
 namespace {
 
 constexpr char kMagic[8] = {'N', 'C', 'T', 'T', 'R', 'A', 'C', 'E'};
-// Chunked (streamed) sibling format, written by TraceSink::spill_to():
-//   header:  magic "NCTCHUNK", version u32, ports u32, nodes u64
-//   chunk:   tag 'CHNK' (u32 LE), event count u64, fixed-width records
-//            (identical layout to the monolithic v4 records)
-//   footer:  tag 'DONE' (u32 LE), total events u64, chunk count u64,
-//            label count u32 + length-prefixed phase labels
-// Labels live in the footer because the writer does not know them until
-// the run ends; the footer doubles as the writer's "completed" marker —
-// a reader treats a missing footer (writer crashed mid-run or never
-// called finish_spill) as corruption, never as an empty tail.
-constexpr char kChunkMagic[8] = {'N', 'C', 'T', 'C', 'H', 'U', 'N', 'K'};
-constexpr std::uint32_t kChunkVersion = 1;
-constexpr std::uint32_t kChunkTag = 0x4B4E4843;   // "CHNK"
-constexpr std::uint32_t kFooterTag = 0x454E4F44;  // "DONE"
-// Version 2 added the fault event kinds (link_down..aborted); the record
-// layout is unchanged, so version-1 files still read.  Version 3 added an
-// explicit node count after the dimensions field (the dimensions field
-// now means ports-per-node on non-cube topologies); versions 1 and 2
-// still read, deriving nodes = 2^n.
-// v4: the stage_boundary event kind (kernel pipelines) is legal.
+// Version 2 added the fault event kinds (link_down..aborted), version 3
+// an explicit node count after the dimensions field (which now means
+// ports-per-node on non-cube topologies), version 4 the stage_boundary
+// event kind (kernel pipelines).  Only the current version reads.
 constexpr std::uint32_t kVersion = 4;
 
 template <class T>
@@ -250,10 +234,10 @@ void put_event(std::ostream& os, const TraceEvent& e) {
   put<std::uint64_t>(os, e.bytes);
 }
 
-TraceEvent get_event(std::istream& is, EventKind max_kind) {
+TraceEvent get_event(std::istream& is) {
   TraceEvent e;
   const auto kind = get<std::uint8_t>(is);
-  if (kind > static_cast<std::uint8_t>(max_kind))
+  if (kind > static_cast<std::uint8_t>(EventKind::stage_boundary))
     throw std::runtime_error("bad event kind in trace");
   e.kind = static_cast<EventKind>(kind);
   e.phase = get<std::int32_t>(is);
@@ -296,25 +280,16 @@ TraceSink read_binary_trace(std::istream& is) {
   if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
     throw std::runtime_error("not an nct trace file (bad magic)");
   const auto version = get<std::uint32_t>(is);
-  if (version < 1 || version > kVersion) throw std::runtime_error("unsupported trace version");
-  const EventKind max_kind = version == 1   ? EventKind::stage
-                             : version <= 3 ? EventKind::aborted
-                                            : EventKind::stage_boundary;
+  if (version != kVersion) throw std::runtime_error("unsupported trace version");
   const auto n = get<std::uint32_t>(is);
-  word nnodes = 0;
-  if (version >= 3) {
-    if (n > 4096) throw std::runtime_error("implausible port count in trace header");
-    nnodes = get<std::uint64_t>(is);
-    if (nnodes < 1 || nnodes > (word{1} << 48))
-      throw std::runtime_error("implausible node count in trace header");
-  } else {
-    if (n > 63) throw std::runtime_error("implausible cube dimension in trace header");
-    nnodes = word{1} << n;
-  }
+  if (n > 4096) throw std::runtime_error("implausible port count in trace header");
+  const auto nnodes = get<std::uint64_t>(is);
+  if (nnodes < 1 || nnodes > (word{1} << 48))
+    throw std::runtime_error("implausible node count in trace header");
   const auto nevents = get<std::uint64_t>(is);
   const auto nlabels = get<std::uint32_t>(is);
   std::vector<std::string> labels;
-  labels.reserve(nlabels);
+  labels.reserve(std::min<std::uint32_t>(nlabels, 1u << 10));
   for (std::uint32_t i = 0; i < nlabels; ++i) {
     const auto len = get<std::uint32_t>(is);
     if (len > (1u << 20)) throw std::runtime_error("implausible label length in trace");
@@ -327,7 +302,7 @@ TraceSink read_binary_trace(std::istream& is) {
   // Don't trust a corrupt header's event count with a huge allocation up
   // front; a short stream fails on the first missing record instead.
   events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(nevents, 1u << 20)));
-  for (std::uint64_t i = 0; i < nevents; ++i) events.push_back(get_event(is, max_kind));
+  for (std::uint64_t i = 0; i < nevents; ++i) events.push_back(get_event(is));
   // A well-formed trace ends exactly after the declared events; trailing
   // bytes mean the header's count (or the file) is corrupt.  Without this
   // check a truncated count silently yields a partial trace.
@@ -341,204 +316,6 @@ TraceSink read_binary_trace(std::istream& is) {
 TraceSink read_binary_trace_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot open trace file: " + path);
-  return read_binary_trace(is);
-}
-
-// ---- chunked (streamed) format ----------------------------------------
-
-struct TraceSink::SpillState {
-  std::string path;
-  std::ofstream os;
-  std::uint64_t chunks = 0;
-  std::uint64_t total = 0;
-  bool header_written = false;
-  bool failed = false;
-};
-
-TraceSink::TraceSink() = default;
-TraceSink::~TraceSink() = default;
-TraceSink::TraceSink(TraceSink&&) noexcept = default;
-TraceSink& TraceSink::operator=(TraceSink&&) noexcept = default;
-
-TraceSink::TraceSink(const TraceSink& o)
-    : n_(o.n_), nodes_(o.nodes_), events_(o.events_), phase_labels_(o.phase_labels_) {}
-
-TraceSink& TraceSink::operator=(const TraceSink& o) {
-  if (this != &o) {
-    n_ = o.n_;
-    nodes_ = o.nodes_;
-    events_ = o.events_;
-    phase_labels_ = o.phase_labels_;
-    spill_chunk_ = 0;
-    spill_.reset();
-  }
-  return *this;
-}
-
-namespace {
-
-void write_chunk_header(std::ostream& os, int ports, word nodes) {
-  os.write(kChunkMagic, sizeof(kChunkMagic));
-  put<std::uint32_t>(os, kChunkVersion);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(ports));
-  put<std::uint64_t>(os, nodes);
-}
-
-}  // namespace
-
-bool TraceSink::spill_to(const std::string& path, std::size_t chunk_events) {
-  auto st = std::make_unique<SpillState>();
-  st->path = path;
-  st->os.open(path, std::ios::binary | std::ios::trunc);
-  if (!st->os) return false;
-  spill_chunk_ = std::max<std::size_t>(chunk_events, 1);
-  spill_ = std::move(st);
-  return true;
-}
-
-void TraceSink::spill_restart() {
-  SpillState& st = *spill_;
-  st.os.close();
-  st.os.clear();
-  st.os.open(st.path, std::ios::binary | std::ios::trunc);
-  st.chunks = 0;
-  st.total = 0;
-  st.header_written = false;
-  st.failed = !st.os;
-}
-
-void TraceSink::spill_flush() {
-  SpillState& st = *spill_;
-  if (!st.failed) {
-    // The header is written on the first flush, not at spill_to():
-    // the node/port counts are only known once the engine has called
-    // begin_run on this sink.
-    if (!st.header_written) {
-      write_chunk_header(st.os, n_, nodes_);
-      st.header_written = true;
-    }
-    put<std::uint32_t>(st.os, kChunkTag);
-    put<std::uint64_t>(st.os, events_.size());
-    for (const TraceEvent& e : events_) put_event(st.os, e);
-    st.chunks += 1;
-    st.total += events_.size();
-    if (!st.os) st.failed = true;
-  }
-  events_.clear();
-}
-
-bool TraceSink::finish_spill() {
-  if (!spill_) return false;
-  if (!events_.empty()) spill_flush();
-  SpillState& st = *spill_;
-  bool ok = !st.failed;
-  if (ok) {
-    if (!st.header_written) {
-      write_chunk_header(st.os, n_, nodes_);
-      st.header_written = true;
-    }
-    put<std::uint32_t>(st.os, kFooterTag);
-    put<std::uint64_t>(st.os, st.total);
-    put<std::uint64_t>(st.os, st.chunks);
-    put<std::uint32_t>(st.os, static_cast<std::uint32_t>(phase_labels_.size()));
-    for (const std::string& l : phase_labels_) {
-      put<std::uint32_t>(st.os, static_cast<std::uint32_t>(l.size()));
-      st.os.write(l.data(), static_cast<std::streamsize>(l.size()));
-    }
-    st.os.flush();
-    ok = static_cast<bool>(st.os);
-  }
-  spill_.reset();
-  spill_chunk_ = 0;
-  return ok;
-}
-
-std::uint64_t TraceSink::spilled_events() const noexcept {
-  return spill_ ? spill_->total : 0;
-}
-
-TraceSink read_chunked_trace(std::istream& is, std::uint64_t* chunks_out) {
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kChunkMagic, sizeof(kChunkMagic)) != 0)
-    throw std::runtime_error("not an nct streamed trace file (bad magic)");
-  const auto version = get<std::uint32_t>(is);
-  if (version < 1 || version > kChunkVersion)
-    throw std::runtime_error("unsupported streamed trace version");
-  const auto ports = get<std::uint32_t>(is);
-  if (ports > 4096) throw std::runtime_error("implausible port count in trace header");
-  const auto nnodes = get<std::uint64_t>(is);
-  if (nnodes < 1 || nnodes > (word{1} << 48))
-    throw std::runtime_error("implausible node count in trace header");
-
-  std::vector<TraceEvent> events;
-  std::vector<std::string> labels;
-  std::uint64_t chunks = 0;
-  for (;;) {
-    std::uint32_t tag = 0;
-    is.read(reinterpret_cast<char*>(&tag), sizeof(tag));
-    if (!is)
-      throw std::runtime_error(
-          "streamed trace has no footer (writer crashed or never called finish_spill)");
-    if (tag == kChunkTag) {
-      std::uint64_t count = 0;
-      try {
-        count = get<std::uint64_t>(is);
-        events.reserve(events.size() +
-                       static_cast<std::size_t>(std::min<std::uint64_t>(count, 1u << 20)));
-        for (std::uint64_t i = 0; i < count; ++i)
-          events.push_back(get_event(is, EventKind::stage_boundary));
-      } catch (const std::runtime_error& e) {
-        throw std::runtime_error("truncated shard chunk " + std::to_string(chunks) +
-                                 " in streamed trace: " + e.what());
-      }
-      chunks += 1;
-    } else if (tag == kFooterTag) {
-      const auto total = get<std::uint64_t>(is);
-      const auto declared_chunks = get<std::uint64_t>(is);
-      if (total != events.size() || declared_chunks != chunks)
-        throw std::runtime_error("streamed trace footer disagrees with chunk contents");
-      const auto nlabels = get<std::uint32_t>(is);
-      labels.reserve(nlabels);
-      for (std::uint32_t i = 0; i < nlabels; ++i) {
-        const auto len = get<std::uint32_t>(is);
-        if (len > (1u << 20)) throw std::runtime_error("implausible label length in trace");
-        std::string l(len, '\0');
-        is.read(l.data(), static_cast<std::streamsize>(len));
-        if (!is) throw std::runtime_error("truncated trace stream");
-        labels.push_back(std::move(l));
-      }
-      if (is.peek() != std::istream::traits_type::eof())
-        throw std::runtime_error("trailing bytes after streamed trace footer");
-      break;
-    } else {
-      throw std::runtime_error("bad chunk tag in streamed trace");
-    }
-  }
-  if (chunks_out) *chunks_out = chunks;
-  TraceSink sink;
-  sink.restore_topology(nnodes, static_cast<int>(ports), std::move(labels),
-                        std::move(events));
-  return sink;
-}
-
-TraceSink read_chunked_trace_file(const std::string& path, std::uint64_t* chunks_out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open trace file: " + path);
-  return read_chunked_trace(is, chunks_out);
-}
-
-TraceSink read_any_trace_file(const std::string& path, std::uint64_t* chunks_out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open trace file: " + path);
-  char magic[8] = {};
-  is.read(magic, sizeof(magic));
-  is.clear();
-  is.seekg(0);
-  if (std::memcmp(magic, kChunkMagic, sizeof(kChunkMagic)) == 0) {
-    return read_chunked_trace(is, chunks_out);
-  }
-  if (chunks_out) *chunks_out = 0;
   return read_binary_trace(is);
 }
 

@@ -9,15 +9,16 @@
 // to produce at sweep scale.  Hop events are also the link-occupancy
 // record: obs::peak_link_overlap reads them.
 //
-// A trace can be exported as Chrome `chrome://tracing` / Perfetto JSON
-// (one track per node, one per directed link) or as a compact binary
-// log (see trace_dump in tools/).  The analyzers in obs/analyze.hpp and
-// the metrics in obs/metrics.hpp are pure functions over a trace.
+// A sink holds its whole run in memory.  It can be exported as Chrome
+// `chrome://tracing` / Perfetto JSON (one track per node, one per
+// directed link) or as a compact binary log, the one on-disk trace
+// format (read back by read_binary_trace; see trace_dump in tools/).
+// The analyzers in obs/analyze.hpp and the metrics in obs/metrics.hpp
+// are pure functions over a trace.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,46 +69,24 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Collects the event stream of one engine run.  Opt in by pointing
-/// sim::EngineOptions::trace at a sink; the engine calls begin_run()
-/// (which clears any previous run) and then records events in execution
-/// order.  Not thread-safe: one sink per concurrent run.
-///
-/// For runs too large to hold in memory (a 20-cube transpose emits
-/// tens of millions of events), call spill_to() before the run: the
-/// sink then streams full chunks to disk and keeps at most one chunk
-/// buffered.  See the chunked read/write functions below.
+/// Collects the event stream of one engine run in memory.  Opt in by
+/// pointing sim::EngineOptions::trace at a sink; the engine calls
+/// begin_run_topology() (which clears any previous run) and then
+/// records events in execution order.  Not thread-safe: one sink per
+/// concurrent run.
 class TraceSink {
  public:
-  // Special members out of line: SpillState is only defined in trace.cpp.
-  TraceSink();
-  ~TraceSink();
-  TraceSink(TraceSink&&) noexcept;
-  TraceSink& operator=(TraceSink&&) noexcept;
-  /// Copies duplicate the buffered events only; an active spill stream
-  /// stays with the source sink (a copy is a plain in-memory sink).
-  TraceSink(const TraceSink& o);
-  TraceSink& operator=(const TraceSink& o);
-
   // ---- engine-facing recording API ------------------------------------
-  void begin_run(int n, std::size_t event_hint = 0) {
-    n_ = n;
-    nodes_ = word{1} << n;
-    events_.clear();
-    phase_labels_.clear();
-    if (spill_) spill_restart();
-    if (event_hint && !spill_) events_.reserve(event_hint);
-  }
+  /// Begin a run on the n-cube (2^n nodes, n ports per node).
+  void begin_run(int n) { begin_run_topology(word{1} << n, n); }
 
-  /// Begin a run on a non-cube topology: explicit node count and port
-  /// count (the directed-link stride, reported by dimensions()).
-  void begin_run_topology(word nodes, int ports, std::size_t event_hint = 0) {
+  /// Begin a run on any topology: explicit node count and port count
+  /// (the directed-link stride, reported by dimensions()).
+  void begin_run_topology(word nodes, int ports) {
     n_ = ports;
     nodes_ = nodes;
     events_.clear();
     phase_labels_.clear();
-    if (spill_) spill_restart();
-    if (event_hint && !spill_) events_.reserve(event_hint);
   }
 
   void phase_begin(std::int32_t phase, const std::string& label, double t) {
@@ -179,26 +158,6 @@ class TraceSink {
     }
   }
 
-  // ---- bounded-memory streaming ---------------------------------------
-  /// Stream this sink's events to `path` in the chunked binary format:
-  /// whenever `chunk_events` events are buffered they are appended to
-  /// the file and dropped from memory, so a run of any length needs
-  /// O(chunk_events) sink memory.  Call before the run (begin_run
-  /// restarts the stream, truncating the file); call finish_spill()
-  /// after the run to flush the tail and write the footer — a file
-  /// without a footer reads back as an error.  Returns false if the
-  /// file cannot be opened.  While spilling, events()/total_time()
-  /// only see the unflushed tail; read the file back instead.
-  bool spill_to(const std::string& path, std::size_t chunk_events = std::size_t{1} << 20);
-  /// Flush buffered events, write the footer and close the stream.
-  /// The sink's in-memory buffer is left empty.  Returns false on
-  /// write failure (the error also sticks until the next begin_run).
-  bool finish_spill();
-  /// True between a successful spill_to() and finish_spill().
-  bool spilling() const noexcept { return spill_ != nullptr; }
-  /// Events written to the spill file so far (excludes the buffer).
-  std::uint64_t spilled_events() const noexcept;
-
   // ---- consumer API ----------------------------------------------------
   /// Ports per node — the directed-link stride used by hop `dim` fields
   /// and link indices.  Equals the cube dimension count on cube runs.
@@ -212,12 +171,6 @@ class TraceSink {
   double total_time() const noexcept;
 
   // Used by the binary reader to reconstruct a sink.
-  void restore(int n, std::vector<std::string> labels, std::vector<TraceEvent> events) {
-    n_ = n;
-    nodes_ = word{1} << n;
-    phase_labels_ = std::move(labels);
-    events_ = std::move(events);
-  }
   void restore_topology(word nodes, int ports, std::vector<std::string> labels,
                         std::vector<TraceEvent> events) {
     n_ = ports;
@@ -227,21 +180,12 @@ class TraceSink {
   }
 
  private:
-  struct SpillState;
-
-  void push(const TraceEvent& e) {
-    events_.push_back(e);
-    if (spill_ && events_.size() >= spill_chunk_) spill_flush();
-  }
-  void spill_flush();
-  void spill_restart();
+  void push(const TraceEvent& e) { events_.push_back(e); }
 
   int n_ = 0;
   word nodes_ = 1;
   std::vector<TraceEvent> events_;
   std::vector<std::string> phase_labels_;
-  std::size_t spill_chunk_ = 0;
-  std::unique_ptr<SpillState> spill_;
 };
 
 /// Chrome trace-event JSON ("traceEvents" array of complete events):
@@ -257,22 +201,9 @@ bool write_chrome_trace_file(const TraceSink& trace, const std::string& path);
 void write_binary_trace(const TraceSink& trace, std::ostream& os);
 bool write_binary_trace_file(const TraceSink& trace, const std::string& path);
 
-/// Parse a binary log; throws std::runtime_error on a malformed stream.
+/// Parse a binary log of the current version (the only one written);
+/// throws std::runtime_error on a malformed stream or another version.
 TraceSink read_binary_trace(std::istream& is);
 TraceSink read_binary_trace_file(const std::string& path);
-
-/// Parse a chunked (streamed) trace produced via TraceSink::spill_to().
-/// Throws std::runtime_error on a malformed stream; a chunk cut short
-/// reports "truncated shard chunk", a stream whose writer never called
-/// finish_spill() reports a missing footer.  `chunks_out`, when
-/// non-null, receives the number of chunks read.
-TraceSink read_chunked_trace(std::istream& is, std::uint64_t* chunks_out = nullptr);
-TraceSink read_chunked_trace_file(const std::string& path,
-                                  std::uint64_t* chunks_out = nullptr);
-
-/// Read either binary format, dispatching on the magic bytes.  Sets
-/// `chunks_out` (when non-null) to the chunk count for streamed files
-/// and to 0 for monolithic ones.
-TraceSink read_any_trace_file(const std::string& path, std::uint64_t* chunks_out = nullptr);
 
 }  // namespace nct::obs

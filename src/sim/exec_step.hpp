@@ -91,13 +91,7 @@ inline ExecEnv begin_run(const MachineParams& params, const EngineOptions& optio
                          FaultGate& gate) {
   const int ports = cp.ports();
   obs::TraceSink* const sink = options.trace;
-  if constexpr (kTrace) {
-    if (params.topology.is_cube()) {
-      sink->begin_run(params.n);
-    } else {
-      sink->begin_run_topology(cp.nodes(), ports);
-    }
-  }
+  if constexpr (kTrace) sink->begin_run_topology(cp.nodes(), ports);
 
   const bool faulted = options.faults && !options.faults->empty();
   if (faulted && (options.faults->dimensions() != ports ||

@@ -32,7 +32,7 @@ Bytes encode_entry(const CacheEntry& e) {
 CacheEntry decode_entry(const Bytes& payload) {
   ByteReader r(payload);
   CacheEntry e;
-  const std::uint32_t key_len = r.u32();
+  const std::uint32_t key_len = r.count(1);
   e.key.reserve(key_len);
   for (std::uint32_t i = 0; i < key_len; ++i) e.key.push_back(r.u8());
   const std::uint8_t fam = r.u8();
@@ -51,6 +51,59 @@ CacheEntry decode_entry(const Bytes& payload) {
   e.algorithm = r.str();
   if (!r.done()) throw SerializeError("trailing bytes in entry payload");
   return e;
+}
+
+/// The one store parser, shared by both policies.  Returns "" for a
+/// clean store, or else the first diagnostic; every entry decoded before
+/// it stays in `data.entries`.  `data.version` equals kStoreVersion iff
+/// the header (magic, version, count) was sound.
+std::string read_store(const std::string& path, StoreData& data) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) return "cannot open " + path;
+  const std::streamoff size = is.tellg();
+  is.seekg(0);
+  char magic[8] = {};
+  is.read(magic, sizeof(magic));
+  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+    return "bad magic (not a plan-cache store)";
+  unsigned char head[12] = {};
+  is.read(reinterpret_cast<char*>(head), sizeof(head));
+  if (!is) return "truncated store header";
+  ByteReader hr(head, sizeof(head));
+  data.version = hr.u32();
+  if (data.version != kStoreVersion) {
+    std::ostringstream msg;
+    msg << "version mismatch: store is v" << data.version << ", reader expects v"
+        << kStoreVersion;
+    return msg.str();
+  }
+  const std::uint64_t count = hr.u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto where = [&] {
+      return "entry " + std::to_string(i) + " of " + std::to_string(count);
+    };
+    unsigned char len_buf[4] = {};
+    is.read(reinterpret_cast<char*>(len_buf), sizeof(len_buf));
+    if (!is) return "truncated store: " + where();
+    const std::uint32_t len = ByteReader(len_buf, 4).u32();
+    // The length is untrusted: never allocate past the end of the file.
+    if (static_cast<std::streamoff>(len) > size - static_cast<std::streamoff>(is.tellg()))
+      return "truncated store: " + where();
+    Bytes payload(len);
+    is.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(len));
+    unsigned char sum_buf[8] = {};
+    is.read(reinterpret_cast<char*>(sum_buf), sizeof(sum_buf));
+    if (!is) return "truncated store: " + where();  // short payload or checksum
+    if (ByteReader(sum_buf, 8).u64() != stable_hash(payload))
+      return "corrupt store (checksum mismatch): " + where();
+    try {
+      data.entries.push_back(decode_entry(payload));
+    } catch (const SerializeError& e) {
+      return "corrupt store (" + std::string(e.what()) + "): " + where();
+    }
+  }
+  if (is.peek() != std::ifstream::traits_type::eof()) return "trailing bytes after last entry";
+  return "";
 }
 
 }  // namespace
@@ -138,37 +191,9 @@ std::vector<CacheEntry> PlanCache::entries() const {
 }
 
 std::size_t PlanCache::load_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return 0;
-  char magic[8] = {};
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return 0;
-  unsigned char head[12] = {};
-  is.read(reinterpret_cast<char*>(head), sizeof(head));
-  if (!is) return 0;
-  ByteReader hr(head, sizeof(head));
-  if (hr.u32() != kStoreVersion) return 0;  // unknown version: retune
-  const std::uint64_t count = hr.u64();
-
-  std::vector<CacheEntry> loaded;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    unsigned char len_buf[4] = {};
-    is.read(reinterpret_cast<char*>(len_buf), sizeof(len_buf));
-    if (!is) break;
-    const std::uint32_t len = ByteReader(len_buf, 4).u32();
-    Bytes payload(len);
-    is.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(len));
-    if (!is) break;
-    unsigned char sum_buf[8] = {};
-    is.read(reinterpret_cast<char*>(sum_buf), sizeof(sum_buf));
-    if (!is) break;
-    if (ByteReader(sum_buf, 8).u64() != stable_hash(payload)) break;  // corrupt: stop
-    try {
-      loaded.push_back(decode_entry(payload));
-    } catch (const SerializeError&) {
-      break;
-    }
-  }
+  StoreData data;
+  read_store(path, data);  // a damaged entry ends the load; keep the prefix
+  if (data.version != kStoreVersion) return 0;  // unreadable or unknown: retune
 
   const std::lock_guard<std::mutex> lock(mu_);
   // Stored MRU-first; appending in order keeps recency, behind whatever
@@ -177,13 +202,13 @@ std::size_t PlanCache::load_file(const std::string& path) {
   // cache already holds do not inflate the counter, so a reload after a
   // tolerant-read retune reports only the genuinely recovered entries.
   std::size_t merged = 0;
-  for (auto& e : loaded) {
+  for (auto& e : data.entries) {
     if (index_.count(stable_hash(e.key)) != 0) continue;  // in-memory wins
     insert_locked(std::move(e), /*front=*/false);
     merged += 1;
   }
   loads_ += merged;
-  return loaded.size();
+  return data.entries.size();
 }
 
 bool PlanCache::save_file(const std::string& path) const {
@@ -231,49 +256,9 @@ bool PlanCache::save_file(const std::string& path) const {
 }
 
 StoreData read_store_strict(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open " + path);
-  char magic[8] = {};
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("bad magic (not a plan-cache store)");
-  unsigned char head[12] = {};
-  is.read(reinterpret_cast<char*>(head), sizeof(head));
-  if (!is) throw std::runtime_error("truncated store header");
-  ByteReader hr(head, sizeof(head));
   StoreData data;
-  data.version = hr.u32();
-  if (data.version != kStoreVersion) {
-    std::ostringstream msg;
-    msg << "version mismatch: store is v" << data.version << ", reader expects v"
-        << kStoreVersion;
-    throw std::runtime_error(msg.str());
-  }
-  const std::uint64_t count = hr.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::ostringstream where;
-    where << "entry " << i << " of " << count;
-    unsigned char len_buf[4] = {};
-    is.read(reinterpret_cast<char*>(len_buf), sizeof(len_buf));
-    if (!is) throw std::runtime_error("truncated store: " + where.str());
-    const std::uint32_t len = ByteReader(len_buf, 4).u32();
-    Bytes payload(len);
-    is.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(len));
-    if (!is) throw std::runtime_error("truncated store: " + where.str());
-    unsigned char sum_buf[8] = {};
-    is.read(reinterpret_cast<char*>(sum_buf), sizeof(sum_buf));
-    if (!is) throw std::runtime_error("truncated store: " + where.str());
-    if (ByteReader(sum_buf, 8).u64() != stable_hash(payload))
-      throw std::runtime_error("corrupt store (checksum mismatch): " + where.str());
-    try {
-      data.entries.push_back(decode_entry(payload));
-    } catch (const SerializeError& e) {
-      throw std::runtime_error("corrupt store (" + std::string(e.what()) + "): " +
-                               where.str());
-    }
-  }
-  if (is.peek() != std::ifstream::traits_type::eof())
-    throw std::runtime_error("trailing bytes after last entry");
+  const std::string error = read_store(path, data);
+  if (!error.empty()) throw std::runtime_error(error);
   return data;
 }
 

@@ -16,14 +16,16 @@
 //   magic "NCTPLANC" | u32 version | u64 entry count
 //   entry := u32 payload length | payload | u64 FNV-1a(payload)
 //
-// Two readers exist on purpose:
-//  * `PlanCache::load_file` is *tolerant*: a corrupt or truncated entry
-//    (bad checksum, short read, malformed payload) ends the load at the
-//    last good entry — the worst outcome of cache damage is a retune,
-//    never a crash; unknown versions load as empty.
+// One parser, two policies.  The parser stops at the first damage (bad
+// checksum, short read, a length or count the rest of the file cannot
+// hold, malformed payload) with a diagnostic, keeping the entries
+// decoded before it; it never allocates by an untrusted length.
+//  * `PlanCache::load_file` is *tolerant*: it merges that prefix — the
+//    worst outcome of cache damage is a retune, never a crash; a bad
+//    header or unknown version loads as empty.
 //  * `read_store_strict` is the tooling reader (`nct_tune cache check`):
-//    it throws with a precise diagnostic on bad magic, version mismatch,
-//    truncation and trailing bytes, so CI can gate on store integrity.
+//    it throws the diagnostic (bad magic, version mismatch, truncation,
+//    corruption, trailing bytes), so CI can gate on store integrity.
 #pragma once
 
 #include <cstdint>

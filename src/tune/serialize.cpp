@@ -52,6 +52,12 @@ std::string ByteReader::str() {
   return s;
 }
 
+std::uint32_t ByteReader::count(std::size_t element_bytes) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / element_bytes) throw SerializeError("count exceeds input");
+  return n;
+}
+
 std::uint64_t stable_hash(const unsigned char* data, std::size_t size) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (std::size_t i = 0; i < size; ++i) {
@@ -135,7 +141,7 @@ cube::PartitionSpec deserialize_spec(ByteReader& r) {
   s.p = r.i32();
   s.q = r.i32();
   if (s.p < 0 || s.q < 0 || s.m() > 63) throw SerializeError("bad matrix shape");
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = r.count(9);  // pos i32, len i32, enc u8
   std::vector<cube::Field> fields;
   fields.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -199,7 +205,7 @@ void serialize(ByteWriter& w, const fault::FaultSpec& spec) {
 
 fault::FaultSpec deserialize_faults(ByteReader& r) {
   fault::FaultSpec spec;
-  const std::uint32_t nl = r.u32();
+  const std::uint32_t nl = r.count(29);  // from, dim, window, both
   spec.links.reserve(nl);
   for (std::uint32_t i = 0; i < nl; ++i) {
     fault::LinkFault f;
@@ -209,7 +215,7 @@ fault::FaultSpec deserialize_faults(ByteReader& r) {
     f.both_directions = r.u8() != 0;
     spec.links.push_back(f);
   }
-  const std::uint32_t nn = r.u32();
+  const std::uint32_t nn = r.count(24);  // node, window
   spec.nodes.reserve(nn);
   for (std::uint32_t i = 0; i < nn; ++i) {
     fault::NodeFault f;
@@ -217,7 +223,7 @@ fault::FaultSpec deserialize_faults(ByteReader& r) {
     f.when = get_window(r);
     spec.nodes.push_back(f);
   }
-  const std::uint32_t nd = r.u32();
+  const std::uint32_t nd = r.count(21);  // from, dim, factor, both
   spec.degraded.reserve(nd);
   for (std::uint32_t i = 0; i < nd; ++i) {
     fault::LinkDegrade f;

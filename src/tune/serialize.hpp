@@ -73,6 +73,10 @@ class ByteReader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64();
   std::string str();
+  /// An untrusted u32 element count: throws when the input left cannot
+  /// hold that many elements of at least `element_bytes` each, so a
+  /// corrupt count never sizes an allocation.
+  std::uint32_t count(std::size_t element_bytes);
 
  private:
   void need(std::size_t n) const {

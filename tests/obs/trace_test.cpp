@@ -187,12 +187,45 @@ TEST(TraceExport, BinaryRoundTripIsExact) {
   write_binary_trace(sink, ss);
   const TraceSink back = read_binary_trace(ss);
   EXPECT_EQ(back.dimensions(), sink.dimensions());
+  EXPECT_EQ(back.nodes(), sink.nodes());
   EXPECT_EQ(back.phase_labels(), sink.phase_labels());
   EXPECT_EQ(back.events(), sink.events());
 }
 
 TEST(TraceExport, BinaryRejectsGarbage) {
   std::stringstream ss("definitely not a trace");
+  EXPECT_THROW(read_binary_trace(ss), std::runtime_error);
+}
+
+/// tiny_trace() in the binary format with the u32 at byte `offset`
+/// (little-endian) replaced by `value`.
+std::string patched_trace(std::size_t offset, std::uint32_t value) {
+  std::stringstream ss;
+  write_binary_trace(tiny_trace(), ss);
+  std::string bytes = ss.str();
+  for (int i = 0; i < 4; ++i)
+    bytes[offset + static_cast<std::size_t>(i)] = static_cast<char>(value >> (8 * i));
+  return bytes;
+}
+
+TEST(TraceExport, OnlyCurrentVersionReads) {
+  // Header: magic[8] | u32 version | ...; every writer emits version 4.
+  for (const std::uint32_t version : {0u, 3u, 5u}) {
+    std::stringstream ss(patched_trace(8, version));
+    try {
+      read_binary_trace(ss);
+      ADD_FAILURE() << "version " << version << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "unsupported trace version") << "version " << version;
+    }
+  }
+}
+
+TEST(TraceExport, HugeLabelCountFailsAsTruncated) {
+  // Header: magic[8] | u32 version | u32 ports | u64 nodes | u64 events
+  // | u32 label count.  A declared count the stream cannot hold must not
+  // size an allocation; the read fails on the first missing label.
+  std::stringstream ss(patched_trace(32, 0xFFFFFFFFu));
   EXPECT_THROW(read_binary_trace(ss), std::runtime_error);
 }
 

@@ -102,53 +102,6 @@ TEST(TraceDump, TrailingGarbageFailsWithClearMessage) {
   EXPECT_NE(r.output.find("trailing bytes"), std::string::npos) << r.output;
 }
 
-/// Writes healthy_trace() in the chunked/streamed format.
-std::string write_chunked(const std::string& name, std::size_t chunk_events) {
-  const auto path = temp_path(name);
-  obs::TraceSink sink;
-  EXPECT_TRUE(sink.spill_to(path, chunk_events));
-  sink.begin_run(2);
-  sink.phase_begin(0, "exchange", 0.0);
-  sink.hop(0, 0, 1, 0, 0, 8, 0.0, 2.0);
-  sink.phase_end(0, 2.0);
-  EXPECT_TRUE(sink.finish_spill());
-  return path;
-}
-
-TEST(TraceDump, StreamedTraceSummarizesLikeMonolithic) {
-  const auto r = run_tool(write_chunked("chunked.bin", 1));
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("streamed (3 chunks)"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("events:    3"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("exchange"), std::string::npos) << r.output;
-}
-
-TEST(TraceDump, TruncatedShardChunkFailsWithClearMessage) {
-  const auto path = write_chunked("chunked_trunc.bin", 1);
-  const auto full = std::filesystem::file_size(path);
-  ASSERT_GT(full, 80u);
-  std::filesystem::resize_file(path, full - 60);  // cut into a chunk's records
-  const auto r = run_tool(path);
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("truncated shard chunk"), std::string::npos) << r.output;
-}
-
-TEST(TraceDump, FooterlessStreamFailsWithClearMessage) {
-  // A writer that never calls finish_spill leaves a footer-less file --
-  // the signature of a crashed run, which must not read as complete.
-  const auto path = temp_path("chunked_nofoot.bin");
-  {
-    obs::TraceSink sink;
-    ASSERT_TRUE(sink.spill_to(path, 1));
-    sink.begin_run(2);
-    sink.hop(0, 0, 1, 0, 0, 8, 0.0, 2.0);
-    sink.hop(0, 1, 0, 0, 1, 8, 2.0, 4.0);
-  }
-  const auto r = run_tool(path);
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("footer"), std::string::npos) << r.output;
-}
-
 TEST(TraceDump, MissingFileFailsWithClearMessage) {
   const auto r = run_tool(temp_path("does_not_exist.bin"));
   EXPECT_NE(r.exit_code, 0);

@@ -264,6 +264,55 @@ TEST(ReadStoreStrict, ReportsEachDamageClassPrecisely) {
   EXPECT_THROW(read_store_strict(temp_path("no-such-store.nct")), std::runtime_error);
 }
 
+/// A store with a valid header declaring `count` entries, then `body`.
+std::string store_with(std::uint64_t count, const Bytes& body) {
+  ByteWriter head;
+  head.u32(kStoreVersion);
+  head.u64(count);
+  std::string bytes = "NCTPLANC";
+  bytes.append(head.bytes().begin(), head.bytes().end());
+  bytes.append(body.begin(), body.end());
+  return bytes;
+}
+
+std::string strict_error(const std::string& path) {
+  try {
+    read_store_strict(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PlanCacheStore, HugeEntryLengthIsTruncationNotAnAllocation) {
+  // 24 bytes: header plus one entry length of 4 GiB the file cannot hold.
+  ByteWriter body;
+  body.u32(0xFFFFFFFFu);
+  const std::string path = temp_path("huge-len.nct");
+  write_file(path, store_with(1, body.bytes()));
+  PlanCache cache;
+  EXPECT_EQ(cache.load_file(path), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(strict_error(path), "truncated store: entry 0 of 1");
+}
+
+TEST(PlanCacheStore, HugeKeyLengthInAChecksummedPayloadLoadsNothing) {
+  ByteWriter payload;
+  payload.u32(0xFFFFFFFFu);  // key length
+  for (int i = 0; i < 16; ++i) payload.u8(0);
+  ByteWriter body;
+  body.u32(static_cast<std::uint32_t>(payload.bytes().size()));
+  for (const unsigned char b : payload.bytes()) body.u8(b);
+  body.u64(stable_hash(payload.bytes()));
+  const std::string path = temp_path("huge-key.nct");
+  write_file(path, store_with(1, body.bytes()));
+  PlanCache cache;
+  std::size_t loaded = 1;
+  EXPECT_NO_THROW(loaded = cache.load_file(path));
+  EXPECT_EQ(loaded, 0u);
+  EXPECT_EQ(strict_error(path).rfind("corrupt store (", 0), 0u) << strict_error(path);
+}
+
 TEST(MakeKey, DiscriminatesEveryInput) {
   const sim::MachineParams ipsc = sim::MachineParams::ipsc(4);
   const SpecPair p = fig_layout_2d(12, 4);

@@ -165,6 +165,38 @@ TEST(SerializeFaults, EmptySpecHashesConsistently) {
   EXPECT_EQ(stable_hash(empty), stable_hash(fault::FaultSpec{}));
 }
 
+TEST(SerializeFaults, CountBeyondTheInputThrows) {
+  // Each of the three lists declares 0xFFFFFFFF records in turn: the
+  // count must be rejected before it sizes an allocation.
+  for (int list = 0; list < 3; ++list) {
+    ByteWriter w;
+    for (int i = 0; i < list; ++i) w.u32(0);
+    w.u32(0xFFFFFFFFu);
+    for (int i = 0; i < 64; ++i) w.u8(0);
+    ByteReader r(w.bytes());
+    EXPECT_THROW(deserialize_faults(r), SerializeError) << "list " << list;
+  }
+}
+
+TEST(SerializeSpec, FieldCountBeyondTheInputThrows) {
+  ByteWriter w;
+  w.i32(2);
+  w.i32(2);
+  w.u32(0xFFFFFFFFu);
+  ByteReader r(w.bytes());
+  EXPECT_THROW(deserialize_spec(r), SerializeError);
+}
+
+TEST(ByteReader, CountIsBoundedByTheRemainingInput) {
+  ByteWriter w;
+  w.u32(2);
+  w.u64(0);  // room for exactly two 4-byte elements
+  ByteReader fits(w.bytes());
+  EXPECT_EQ(fits.count(4), 2u);
+  ByteReader too_big(w.bytes());
+  EXPECT_THROW(too_big.count(5), SerializeError);
+}
+
 TEST(ByteReader, ThrowsOnTruncation) {
   ByteWriter w;
   serialize(w, sim::MachineParams::ipsc(4));

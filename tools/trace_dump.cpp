@@ -1,9 +1,7 @@
-// trace_dump: inspect a binary simulation trace (see obs/trace.hpp).
-// Reads both the monolithic format and the chunked/streamed format
-// written by TraceSink::spill_to() (dispatching on the magic bytes);
-// a truncated shard chunk or a stream whose writer never wrote the
-// footer is a hard error with a nonzero exit, never a silent partial
-// dump.
+// trace_dump: inspect a binary simulation trace (see obs/trace.hpp),
+// as written by obs::write_binary_trace.  A missing, truncated or
+// otherwise malformed file is a hard error with a nonzero exit, never a
+// silent partial dump.
 //
 // Usage:
 //   trace_dump TRACE.bin                  summary (phases, events, makespan)
@@ -139,17 +137,13 @@ int main(int argc, char** argv) {
   }
 
   nct::obs::TraceSink trace;
-  std::uint64_t chunks = 0;
   try {
-    trace = nct::obs::read_any_trace_file(path, &chunks);
+    trace = nct::obs::read_binary_trace_file(path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "trace_dump: %s: %s\n", path.c_str(), e.what());
     return 1;
   }
 
-  if (chunks)
-    std::printf("format:    streamed (%llu chunks)\n",
-                static_cast<unsigned long long>(chunks));
   print_summary(trace);
 
   if (want_events) {
