@@ -55,12 +55,8 @@ sim::Program all_to_all_sbnt(int n, word K) {
   for (word x = 0; x < N; ++x) {
     for (word rel = 1; rel < N; ++rel) {
       const word j = x ^ rel;
-      sim::SendOp op;
-      op.src = x;
-      op.route = tree.path_dims_from_root(rel);
-      op.src_slots = slot_range(j * K, K);
-      op.dst_slots = slot_range(x * K, K);
-      phase.sends.push_back(std::move(op));
+      phase.sends.add(x, tree.path_dims_from_root(rel), slot_range(j * K, K),
+                      slot_range(x * K, K));
     }
   }
   prog.phases.push_back(std::move(phase));
@@ -80,12 +76,9 @@ sim::Program all_to_all_direct(int n, word K) {
   for (word x = 0; x < N; ++x) {
     for (word j = 0; j < N; ++j) {
       if (j == x) continue;
-      sim::SendOp op;
-      op.src = x;
-      op.route = cube::bit_positions(x ^ j);  // ascending e-cube routing
-      op.src_slots = slot_range(j * K, K);
-      op.dst_slots = slot_range(x * K, K);
-      phase.sends.push_back(std::move(op));
+      // Ascending e-cube routing.
+      phase.sends.add(x, cube::bit_positions(x ^ j), slot_range(j * K, K),
+                      slot_range(x * K, K));
     }
   }
   prog.phases.push_back(std::move(phase));

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <numeric>
+#include <span>
 
 #include "topology/sbt.hpp"
 
@@ -45,14 +46,11 @@ sim::Program one_to_all_broadcast_sbt(int n, word K, word packet_elements, word 
       const word first = c * B;
       const word count = std::min<word>(B, K - first);
       if (count == 0) continue;
-      sim::SendOp op;
-      op.src = tree.parent(v);
+      const word parent = tree.parent(v);
       // The connecting dimension is the single differing bit.
-      op.route = {cube::lowest_set_bit(op.src ^ v)};
-      op.src_slots = slot_range(first, count);
-      op.dst_slots = slot_range(first, count);
-      op.keep_source = true;
-      phase.sends.push_back(std::move(op));
+      const int dim = cube::lowest_set_bit(parent ^ v);
+      const auto slots = slot_range(first, count);
+      phase.sends.add(parent, std::span(&dim, 1), slots, slots, {true, false});
     }
     if (!phase.empty()) prog.phases.push_back(std::move(phase));
   }
@@ -93,14 +91,11 @@ sim::Program one_to_all_broadcast_rotated_sbts(int n, word K, word root) {
       const auto& tree = trees[static_cast<std::size_t>(t)];
       for (word v = 0; v < N; ++v) {
         if (v == root || tree.depth(v) != step + 1) continue;
-        sim::SendOp op;
-        op.src = tree.parent(v);
-        op.route = {cube::lowest_set_bit(op.src ^ v)};
-        op.src_slots = slot_range(part_first[static_cast<std::size_t>(t)],
-                                  part_count[static_cast<std::size_t>(t)]);
-        op.dst_slots = op.src_slots;
-        op.keep_source = true;
-        phase.sends.push_back(std::move(op));
+        const word parent = tree.parent(v);
+        const int dim = cube::lowest_set_bit(parent ^ v);
+        const auto slots = slot_range(part_first[static_cast<std::size_t>(t)],
+                                      part_count[static_cast<std::size_t>(t)]);
+        phase.sends.add(parent, std::span(&dim, 1), slots, slots, {true, false});
       }
     }
     if (!phase.empty()) prog.phases.push_back(std::move(phase));
@@ -122,19 +117,14 @@ sim::Program all_to_all_broadcast(int n, word K) {
     sim::Phase phase;
     phase.label = "gossip-dim-" + std::to_string(d);
     const word low_mask = cube::low_mask(d);
+    std::vector<sim::slot> slots;
     for (word x = 0; x < N; ++x) {
-      sim::SendOp op;
-      op.src = x;
-      op.route = {d};
-      op.keep_source = true;
+      slots.clear();
       for (word y = 0; y < N; ++y) {
         if (((y ^ x) & ~low_mask) != 0) continue;  // not yet held by x
-        for (word k = 0; k < K; ++k) {
-          op.src_slots.push_back(y * K + k);
-          op.dst_slots.push_back(y * K + k);
-        }
+        for (word k = 0; k < K; ++k) slots.push_back(y * K + k);
       }
-      phase.sends.push_back(std::move(op));
+      phase.sends.add(x, std::span(&d, 1), slots, slots, {true, false});
     }
     prog.phases.push_back(std::move(phase));
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <span>
 
 #include "topology/sbnt.hpp"
 #include "topology/sbt.hpp"
@@ -39,6 +40,7 @@ sim::Program one_to_all_sbt(int n, word K, word root, int rotation, bool reflect
   // Recursive halving over canonical dimensions n-1 .. 0.  In phase t the
   // canonical nodes with bits [0, n-1-t] clear send the blocks of the
   // subtree across canonical dimension n-1-t.
+  std::vector<sim::slot> slots;
   for (int t = 0; t < n; ++t) {
     const int d = n - 1 - t;
     sim::Phase phase;
@@ -46,17 +48,13 @@ sim::Program one_to_all_sbt(int n, word K, word root, int rotation, bool reflect
     for (word c = 0; c < N; c += word{1} << (d + 1)) {
       // c has bits [0, d] zero by construction of the loop stride.
       const word src = tree.from_canonical(c);
-      sim::SendOp op;
-      op.src = src;
-      op.route = {physical_dim(n, d, rotation, reflected)};
+      const int dim = physical_dim(n, d, rotation, reflected);
+      slots.clear();
       for (word b = 0; b < (word{1} << d); ++b) {
         const word dest_phys = tree.from_canonical((c | (word{1} << d)) + b);
-        for (word k = 0; k < K; ++k) {
-          op.src_slots.push_back(dest_phys * K + k);
-          op.dst_slots.push_back(dest_phys * K + k);
-        }
+        for (word k = 0; k < K; ++k) slots.push_back(dest_phys * K + k);
       }
-      phase.sends.push_back(std::move(op));
+      phase.sends.add(src, std::span(&dim, 1), slots, slots);
     }
     prog.phases.push_back(std::move(phase));
   }
@@ -96,12 +94,8 @@ sim::Program one_to_all_sbnt(int n, word K, word root) {
     return tree.path_dims_from_root(a).size() > tree.path_dims_from_root(b).size();
   });
   for (const word y : dests) {
-    sim::SendOp op;
-    op.src = root;
-    op.route = tree.path_dims_from_root(y);
-    op.src_slots = slot_range(y * K, K);
-    op.dst_slots = slot_range(0, K);
-    phase.sends.push_back(std::move(op));
+    phase.sends.add(root, tree.path_dims_from_root(y), slot_range(y * K, K),
+                    slot_range(0, K));
   }
   prog.phases.push_back(std::move(phase));
 
@@ -157,12 +151,8 @@ sim::Program one_to_all_rotated_sbts(int n, word K, word root) {
   sim::Phase phase;
   phase.label = "rotated-sbts-scatter";
   for (const Packet& p : packets) {
-    sim::SendOp op;
-    op.src = root;
-    op.route = trees[static_cast<std::size_t>(p.tree)].path_dims_from_root(p.dest);
-    op.src_slots = slot_range(p.dest * K + p.offset, p.count);
-    op.dst_slots = slot_range(p.offset, p.count);
-    phase.sends.push_back(std::move(op));
+    phase.sends.add(root, trees[static_cast<std::size_t>(p.tree)].path_dims_from_root(p.dest),
+                    slot_range(p.dest * K + p.offset, p.count), slot_range(p.offset, p.count));
   }
   prog.phases.push_back(std::move(phase));
 
@@ -202,22 +192,19 @@ sim::Program all_to_one_sbt(int n, word K, word root) {
   // In phase t the canonical nodes with bit t set and bits below t clear
   // forward everything they hold (their own block plus already gathered
   // subtree blocks: canonical addresses c .. c + 2^t - 1).
+  std::vector<sim::slot> slots;
   for (int t = 0; t < n; ++t) {
     sim::Phase phase;
     phase.label = "gather-dim-" + std::to_string(t);
     for (word c = word{1} << t; c < N; c += word{1} << (t + 1)) {
       const word src = tree.from_canonical(c);
-      sim::SendOp op;
-      op.src = src;
-      op.route = {t};  // canonical == physical (no rotation/reflection)
+      slots.clear();
       for (word b = 0; b < (word{1} << t); ++b) {
         const word holder = tree.from_canonical(c + b);
-        for (word k = 0; k < K; ++k) {
-          op.src_slots.push_back(holder * K + k);
-          op.dst_slots.push_back(holder * K + k);
-        }
+        for (word k = 0; k < K; ++k) slots.push_back(holder * K + k);
       }
-      phase.sends.push_back(std::move(op));
+      // Canonical == physical (no rotation/reflection).
+      phase.sends.add(src, std::span(&t, 1), slots, slots);
     }
     prog.phases.push_back(std::move(phase));
   }

@@ -10,21 +10,80 @@ namespace nct::comm {
 
 namespace {
 
-/// Contiguous runs of an ascending slot list: [first_index, count) pairs.
-std::vector<std::pair<std::size_t, std::size_t>> contiguous_runs(
-    const std::vector<sim::slot>& slots) {
-  std::vector<std::pair<std::size_t, std::size_t>> runs;
-  std::size_t i = 0;
-  while (i < slots.size()) {
+/// Contiguous runs of an ascending slot list, as (first_index, count).
+void find_runs(std::span<const sim::slot> slots,
+               std::vector<std::pair<std::size_t, std::size_t>>& runs) {
+  runs.clear();
+  for (std::size_t i = 0; i < slots.size();) {
     std::size_t j = i + 1;
     while (j < slots.size() && slots[j] == slots[j - 1] + 1) ++j;
     runs.emplace_back(i, j - i);
     i = j;
   }
-  return runs;
 }
 
 }  // namespace
+
+std::size_t count_sends(std::span<const sim::slot> src, const BufferPolicy& policy,
+                        SendScratch& scratch) {
+  if (policy.mode == BufferMode::buffered) return 1;
+  find_runs(src, scratch.runs);
+  if (policy.mode == BufferMode::unbuffered) return scratch.runs.size();
+  std::size_t long_runs = 0;
+  for (const auto& run : scratch.runs) long_runs += run.second >= policy.b_copy_elements;
+  return long_runs + (long_runs < scratch.runs.size() ? 1 : 0);
+}
+
+void emit_sends(sim::Phase& phase, word x, word y, std::span<const int> route,
+                std::span<const sim::slot> src, std::span<const sim::slot> dst,
+                const BufferPolicy& policy, int element_bytes, bool rerouted,
+                SendScratch& scratch) {
+  const sim::SendFlags flags{false, rerouted};
+  const auto emit = [&](std::size_t first, std::size_t count) {
+    phase.sends.add(x, route, src.subspan(first, count), dst.subspan(first, count), flags);
+  };
+  // Gather at the sender, scatter at the receiver.
+  const auto stage = [&](std::size_t elements) {
+    const std::size_t bytes = elements * static_cast<std::size_t>(element_bytes);
+    phase.stage.push_back(sim::StageOp{x, bytes});
+    phase.post_stage.push_back(sim::StageOp{y, bytes});
+  };
+
+  auto& runs = scratch.runs;
+  find_runs(src, runs);
+  switch (policy.mode) {
+    case BufferMode::unbuffered:
+      for (const auto& [first, count] : runs) emit(first, count);
+      break;
+    case BufferMode::buffered:
+      emit(0, src.size());
+      if (runs.size() > 1) stage(src.size());
+      break;
+    case BufferMode::optimal: {
+      // Long runs go unbuffered; short runs are gathered into one
+      // buffered message.
+      auto& small_src = scratch.small_src;
+      auto& small_dst = scratch.small_dst;
+      small_src.clear();
+      small_dst.clear();
+      for (const auto& [first, count] : runs) {
+        if (count >= policy.b_copy_elements) {
+          emit(first, count);
+        } else {
+          small_src.insert(small_src.end(), src.begin() + static_cast<std::ptrdiff_t>(first),
+                           src.begin() + static_cast<std::ptrdiff_t>(first + count));
+          small_dst.insert(small_dst.end(), dst.begin() + static_cast<std::ptrdiff_t>(first),
+                           dst.begin() + static_cast<std::ptrdiff_t>(first + count));
+        }
+      }
+      if (!small_src.empty()) {
+        phase.sends.add(x, route, small_src, small_dst, flags);
+        if (small_src.size() < src.size() || runs.size() > 1) stage(small_src.size());
+      }
+      break;
+    }
+  }
+}
 
 LocationPlanner::LocationPlanner(int n, word local_slots, int element_bytes)
     : n_(n), local_slots_(local_slots), element_bytes_(element_bytes) {
@@ -78,6 +137,7 @@ void LocationPlanner::parallel_swaps(const std::vector<std::pair<LocBit, LocBit>
 
   sim::Phase phase;
   phase.label = label;
+  SendScratch scratch;
 
   const word nnodes = word{1} << n_;
   for (word x = 0; x < nnodes; ++x) {
@@ -122,67 +182,7 @@ void LocationPlanner::parallel_swaps(const std::vector<std::pair<LocBit, LocBit>
         rerouted = true;
       }
 
-      const auto emit = [&](std::size_t first, std::size_t count) {
-        sim::SendOp op;
-        op.src = x;
-        op.route = route;
-        op.rerouted = rerouted;
-        op.src_slots.assign(src.begin() + static_cast<std::ptrdiff_t>(first),
-                            src.begin() + static_cast<std::ptrdiff_t>(first + count));
-        op.dst_slots.assign(dst.begin() + static_cast<std::ptrdiff_t>(first),
-                            dst.begin() + static_cast<std::ptrdiff_t>(first + count));
-        phase.sends.push_back(std::move(op));
-      };
-
-      const auto runs = contiguous_runs(src);
-      switch (policy.mode) {
-        case BufferMode::unbuffered:
-          for (const auto& [first, count] : runs) emit(first, count);
-          break;
-        case BufferMode::buffered: {
-          emit(0, src.size());
-          if (runs.size() > 1) {
-            // Gather at the sender, scatter at the receiver.
-            const std::size_t bytes = src.size() * static_cast<std::size_t>(element_bytes_);
-            phase.stage.push_back(sim::StageOp{x, bytes});
-            phase.post_stage.push_back(sim::StageOp{y, bytes});
-          }
-          break;
-        }
-        case BufferMode::optimal: {
-          // Long runs go unbuffered; short runs are gathered into one
-          // buffered message.
-          std::vector<sim::slot> small_src, small_dst;
-          for (const auto& [first, count] : runs) {
-            if (count >= policy.b_copy_elements) {
-              emit(first, count);
-            } else {
-              small_src.insert(small_src.end(),
-                               src.begin() + static_cast<std::ptrdiff_t>(first),
-                               src.begin() + static_cast<std::ptrdiff_t>(first + count));
-              small_dst.insert(small_dst.end(),
-                               dst.begin() + static_cast<std::ptrdiff_t>(first),
-                               dst.begin() + static_cast<std::ptrdiff_t>(first + count));
-            }
-          }
-          if (!small_src.empty()) {
-            sim::SendOp op;
-            op.src = x;
-            op.route = route;
-            op.rerouted = rerouted;
-            op.src_slots = small_src;
-            op.dst_slots = small_dst;
-            phase.sends.push_back(std::move(op));
-            if (small_src.size() < src.size() || runs.size() > 1) {
-              const std::size_t bytes =
-                  small_src.size() * static_cast<std::size_t>(element_bytes_);
-              phase.stage.push_back(sim::StageOp{x, bytes});
-              phase.post_stage.push_back(sim::StageOp{y, bytes});
-            }
-          }
-          break;
-        }
-      }
+      emit_sends(phase, x, y, route, src, dst, policy, element_bytes_, rerouted, scratch);
     }
   }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,27 @@ struct BufferPolicy {
   static BufferPolicy buffered() { return {BufferMode::buffered, 0}; }
   static BufferPolicy optimal(word b_copy) { return {BufferMode::optimal, b_copy}; }
 };
+
+/// Buffers reused by emit_sends across the groups of a phase, so a
+/// planning loop allocates nothing per group once they have grown.
+struct SendScratch {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  ///< (first, count) slot runs.
+  std::vector<sim::slot> small_src, small_dst;            ///< optimal: gathered short runs.
+};
+
+/// Number of sends emit_sends makes for the ascending source slots `src`
+/// under `policy` (for SendList::reserve).
+std::size_t count_sends(std::span<const sim::slot> src, const BufferPolicy& policy,
+                        SendScratch& scratch);
+
+/// Appends to `phase` the sends of one group: node x moves the elements
+/// at its ascending slots `src` into slots `dst` of node y along `route`.
+/// The buffer policy decides how the group's contiguous slot runs form
+/// messages, and adds the gather/scatter charges of buffered ones.
+void emit_sends(sim::Phase& phase, word x, word y, std::span<const int> route,
+                std::span<const sim::slot> src, std::span<const sim::slot> dst,
+                const BufferPolicy& policy, int element_bytes, bool rerouted,
+                SendScratch& scratch);
 
 /// Order in which a multi-dimension route crosses its dimensions.
 enum class RouteOrder { ascending, descending };

@@ -166,7 +166,7 @@ const std::vector<Window>& FaultModel::windows(std::size_t li) const noexcept {
   return li < windows_.size() ? windows_[li] : kNoWindows;
 }
 
-bool FaultModel::route_blocked(word src, const std::vector<int>& route) const noexcept {
+bool FaultModel::route_blocked(word src, std::span<const int> route) const noexcept {
   if (!any_faults_) return false;
   word at = src;
   if (topo_) {

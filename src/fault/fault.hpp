@@ -28,6 +28,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -168,7 +169,7 @@ class FaultModel {
 
   /// True if any link traversed by `route` starting at `src` is
   /// permanently down.
-  bool route_blocked(word src, const std::vector<int>& route) const noexcept;
+  bool route_blocked(word src, std::span<const int> route) const noexcept;
 
  private:
   int n_ = 0;                                   ///< ports per node (cube: n).

@@ -1,5 +1,6 @@
 #include "kernels/pipeline.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -43,7 +44,7 @@ sim::Memory apply_moves(const sim::Memory& entry, const std::vector<topo::SlotMo
 }
 
 void offset_program_slots(sim::Program& program, word base, word local_slots) {
-  const auto shift = [base](std::vector<sim::slot>& slots) {
+  const auto shift = [base](std::span<sim::slot> slots) {
     for (sim::slot& s : slots) s += base;
   };
   for (sim::Phase& phase : program.phases) {
@@ -51,10 +52,8 @@ void offset_program_slots(sim::Program& program, word base, word local_slots) {
       shift(op.src_slots);
       shift(op.dst_slots);
     }
-    for (sim::SendOp& op : phase.sends) {
-      shift(op.src_slots);
-      shift(op.dst_slots);
-    }
+    shift(phase.sends.src_slot_pool());
+    shift(phase.sends.dst_slot_pool());
     for (sim::CopyOp& op : phase.post_copies) {
       shift(op.src_slots);
       shift(op.dst_slots);

@@ -17,6 +17,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -60,19 +61,21 @@ std::vector<std::vector<T>> run_threads(const sim::Program& program,
   const auto topology = topo::make_topology(program.topology, program.n);
   const int ports = topology->ports();
 
+  // Route and destination slots view the program, which outlives the run.
   struct Packet {
-    std::vector<int> route;
+    std::span<const int> route;
     std::size_t hop = 0;
-    std::vector<sim::slot> dst_slots;
+    std::span<const sim::slot> dst_slots;
     std::vector<T> payload;
   };
 
-  // Per-phase, per-node counts and op lists (deliveries plus forwards).
+  // Per-phase, per-node counts and op lists (deliveries plus forwards);
+  // a node's sends are indices into its phase's SendList.
   const std::size_t nphases = program.phases.size();
   std::vector<std::vector<std::size_t>> incoming(
       nphases, std::vector<std::size_t>(static_cast<std::size_t>(nnodes), 0));
-  std::vector<std::vector<std::vector<const sim::SendOp*>>> sends_by_node(
-      nphases, std::vector<std::vector<const sim::SendOp*>>(static_cast<std::size_t>(nnodes)));
+  std::vector<std::vector<std::vector<std::size_t>>> sends_by_node(
+      nphases, std::vector<std::vector<std::size_t>>(static_cast<std::size_t>(nnodes)));
   std::vector<std::vector<std::vector<const sim::CopyOp*>>> pre_by_node(
       nphases, std::vector<std::vector<const sim::CopyOp*>>(static_cast<std::size_t>(nnodes)));
   std::vector<std::vector<std::vector<const sim::CopyOp*>>> post_by_node(
@@ -80,8 +83,9 @@ std::vector<std::vector<T>> run_threads(const sim::Program& program,
 
   for (std::size_t ph = 0; ph < nphases; ++ph) {
     const auto& phase = program.phases[ph];
-    for (const auto& op : phase.sends) {
-      sends_by_node[ph][static_cast<std::size_t>(op.src)].push_back(&op);
+    for (std::size_t i = 0; i < phase.sends.size(); ++i) {
+      const sim::SendOp op = phase.sends[i];
+      sends_by_node[ph][static_cast<std::size_t>(op.src)].push_back(i);
       cube::word cur = op.src;
       for (const int d : op.route) {
         cur = topology->neighbor(cur, d);
@@ -151,21 +155,25 @@ std::vector<std::vector<T>> run_threads(const sim::Program& program,
 
       // Read all outgoing payloads before any arrival can land
       // (snapshot semantics: only this thread writes this memory).
+      const sim::SendList& sends = program.phases[ph].sends;
+      const auto& mine = sends_by_node[ph][static_cast<std::size_t>(me)];
       std::vector<Packet> outgoing;
-      for (const auto* op : sends_by_node[ph][static_cast<std::size_t>(me)]) {
+      for (const std::size_t i : mine) {
+        const sim::SendOp op = sends[i];
         Packet pk;
-        pk.route = op->route;
+        pk.route = op.route;
         pk.hop = 0;
-        pk.dst_slots = op->dst_slots;
-        pk.payload.reserve(op->src_slots.size());
-        for (const sim::slot s : op->src_slots) {
+        pk.dst_slots = op.dst_slots;
+        pk.payload.reserve(op.src_slots.size());
+        for (const sim::slot s : op.src_slots) {
           pk.payload.push_back(local[static_cast<std::size_t>(s)]);
         }
         outgoing.push_back(std::move(pk));
       }
-      for (const auto* op : sends_by_node[ph][static_cast<std::size_t>(me)]) {
-        if (op->keep_source) continue;
-        for (const sim::slot s : op->src_slots) clear(local[static_cast<std::size_t>(s)]);
+      for (const std::size_t i : mine) {
+        const sim::SendOp op = sends[i];
+        if (op.keep_source) continue;
+        for (const sim::slot s : op.src_slots) clear(local[static_cast<std::size_t>(s)]);
       }
       for (auto& pk : outgoing) forward(std::move(pk));
 

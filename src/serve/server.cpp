@@ -143,39 +143,51 @@ Server::Server(ServeOptions options)
 
 Server::~Server() { stop(); }
 
-Admission Server::submit(Request request) {
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.submitted += 1;
-  }
+namespace {
+
+/// Structural problems that reject a request before it takes a slot.
+bool malformed(const Request& request) {
   const sim::MachineParams& m = request.machine;
-  bool bad = m.n < 0 || m.n > kMaxCubeDims;
+  if (m.n < 0 || m.n > kMaxCubeDims) return true;
   if (request.kernel.kind == KernelKind::none) {
-    bad = bad || request.before.shape().m() != request.after.shape().m() ||
-          request.before.processor_bits() > m.n ||
-          request.after.processor_bits() > m.n;
-  } else {
-    // Kernel requests ignore the spec pair; shape/divisibility problems
-    // reject synchronously instead of consuming a queue slot.
-    bad = bad || !kernel_request_ok(request);
+    return request.before.shape().m() != request.after.shape().m() ||
+           request.before.processor_bits() > m.n || request.after.processor_bits() > m.n;
   }
-  if (bad) {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.rejected_bad += 1;
-    return {false, RejectReason::bad_request, 0};
+  // Kernel requests ignore the spec pair; shape/divisibility problems
+  // reject synchronously instead of consuming a queue slot.
+  return !kernel_request_ok(request);
+}
+
+}  // namespace
+
+void Server::count_admissions(std::uint64_t requests, RejectReason reason) {
+  const std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.submitted += requests;
+  switch (reason) {
+    case RejectReason::none: stats_.admitted += requests; break;
+    case RejectReason::queue_full: stats_.rejected_full += requests; break;
+    case RejectReason::tenant_over_share: stats_.rejected_share += requests; break;
+    case RejectReason::stopped: stats_.rejected_stopped += requests; break;
+    case RejectReason::bad_request: stats_.rejected_bad += requests; break;
   }
-  const Admission a = queue_.try_push(std::move(request));
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    switch (a.reason) {
-      case RejectReason::none: stats_.admitted += 1; break;
-      case RejectReason::queue_full: stats_.rejected_full += 1; break;
-      case RejectReason::tenant_over_share: stats_.rejected_share += 1; break;
-      case RejectReason::stopped: stats_.rejected_stopped += 1; break;
-      case RejectReason::bad_request: break;  // handled above
-    }
-  }
+}
+
+Admission Server::submit(Request request) {
+  const Admission a = malformed(request) ? Admission{false, RejectReason::bad_request, 0}
+                                         : queue_.try_push(std::move(request));
+  count_admissions(1, a.reason);
   return a;
+}
+
+std::vector<Admission> Server::submit_all(std::vector<Request> requests) {
+  const bool bad = std::any_of(requests.begin(), requests.end(), malformed);
+  const Admission a = bad ? Admission{false, RejectReason::bad_request, 0}
+                          : queue_.try_push_all(requests);
+  count_admissions(requests.size(), a.reason);
+  std::vector<Admission> out(requests.size(), a);
+  if (a.admitted)
+    for (std::size_t i = 0; i < out.size(); ++i) out[i].id = a.id + i;
+  return out;
 }
 
 void Server::dispatcher_main() {

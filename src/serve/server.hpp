@@ -123,6 +123,12 @@ class Server {
   /// before the request consumes a queue slot.
   Admission submit(Request request);
 
+  /// Admit all of `requests` or none, with the same checks as submit().
+  /// An admitted batch lands in the queue at once, so the dispatcher
+  /// serves it in one cycle (unless ServeOptions::max_cycle splits it).
+  /// A rejected batch returns the rejecting reason for every request.
+  std::vector<Admission> submit_all(std::vector<Request> requests);
+
   /// Wait until every admitted request has been served, then finish the
   /// epoch: join outstanding background tunes, publish their results into the plan cache, reset the resolution
   /// memo, and return all responses since the previous drain() sorted
@@ -159,6 +165,8 @@ class Server {
   void tuner_main();
   void serve_cycle(std::vector<Admitted>& items);
   void enqueue_tunes(std::vector<TuneJob> jobs);
+  /// Counts `requests` submissions that ended with `reason`.
+  void count_admissions(std::uint64_t requests, RejectReason reason);
 
   ServeOptions options_;
   std::unique_ptr<tune::PlanCache> owned_cache_;  ///< when options_.cache null.

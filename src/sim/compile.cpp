@@ -216,10 +216,8 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
     n_sends += ph.sends.size();
     n_copies += ph.pre_copies.size() + ph.post_copies.size();
     n_stages += ph.stage.size() + ph.post_stage.size();
-    for (const SendOp& op : ph.sends) {
-      n_slots += 2 * op.src_slots.size();
-      n_links += op.route.size();
-    }
+    n_slots += 2 * ph.sends.total_elements();
+    n_links += ph.sends.total_hops();
     for (const CopyOp& op : ph.pre_copies) n_slots += 2 * op.src_slots.size();
     for (const CopyOp& op : ph.post_copies) n_slots += 2 * op.src_slots.size();
   }
@@ -307,8 +305,6 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
     for (const SendOp& op : phase.sends) {
       if (op.src >= nnodes) throw ProgramError("send src out of range");
       if (op.route.empty()) throw ProgramError("send with empty route");
-      if (op.src_slots.size() != op.dst_slots.size())
-        throw ProgramError("send slot count mismatch");
 
       CompiledSend s;
       s.src = op.src;

@@ -3,8 +3,9 @@
 // machine.  This is the only way a Program executes: Engine::run(Program,
 // Memory) is compile() followed by a data-mode run.
 //
-// A Program's `SendOp`/`CopyOp` records hold per-op heap-allocated slot
-// lists and routes.  `compile()` walks them exactly once:
+// A Program's sends are stored flat per phase (`SendList`), its copies as
+// `CopyOp` records with their own slot lists.  `compile()` walks them
+// exactly once:
 //
 //  * all slot lists are packed into one slot pool, all routes into one
 //    pool of precomputed directed-link indices (`topo::link_index`), with
@@ -13,7 +14,7 @@
 //    serialisation times and copy/staging charges are precomputed for the
 //    given `MachineParams`, so a run only adds and compares doubles;
 //  * every structural property that raises `ProgramError` (operand
-//    ranges, route dimensions, slot-count mismatches, double delivery
+//    ranges, route dimensions, copy slot-count mismatches, double delivery
 //    within a phase) is checked here, once, for the whole program before
 //    any phase executes.  Only the data-dependent "read of an empty
 //    slot" check remains at run time, and only in data mode.

@@ -39,13 +39,6 @@
 
 namespace nct::sim {
 
-/// Raised when a program violates the execution model (bad slot, double
-/// delivery, reading an empty slot, ...).  Always a planner bug.
-class ProgramError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 struct PhaseStats {
   std::string label;
   double start = 0.0;

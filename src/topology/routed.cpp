@@ -1,6 +1,7 @@
 #include "topology/routed.hpp"
 
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 namespace nct::topo {
@@ -24,6 +25,7 @@ sim::Program plan_routed_permutation(const Topology& t, const std::vector<word>&
   phase.label = opt.label;
 
   const word chunk = opt.packet_elements > 0 ? opt.packet_elements : elements_per_node;
+  std::vector<sim::slot> slots;
   for (word src = 0; src < t.nodes(); ++src) {
     const word dst = dest[static_cast<std::size_t>(src)];
     if (dst == src || elements_per_node == 0) continue;
@@ -32,14 +34,9 @@ sim::Program plan_routed_permutation(const Topology& t, const std::vector<word>&
     const bool rerouted = route != healthy;
     for (word lo = 0; lo < elements_per_node; lo += chunk) {
       const word hi = std::min(elements_per_node, lo + chunk);
-      sim::SendOp op;
-      op.src = src;
-      op.route = route;
-      op.rerouted = rerouted;
-      op.src_slots.resize(static_cast<std::size_t>(hi - lo));
-      std::iota(op.src_slots.begin(), op.src_slots.end(), static_cast<sim::slot>(lo));
-      op.dst_slots = op.src_slots;
-      phase.sends.push_back(std::move(op));
+      slots.resize(static_cast<std::size_t>(hi - lo));
+      std::iota(slots.begin(), slots.end(), static_cast<sim::slot>(lo));
+      phase.sends.add(src, route, slots, slots, {false, rerouted});
     }
   }
   if (!phase.empty()) program.phases.push_back(std::move(phase));
@@ -95,16 +92,12 @@ sim::Program plan_routed_moves(const Topology& t, const std::vector<SlotMove>& m
     const word chunk = opt.packet_elements > 0 ? opt.packet_elements : total;
     for (word lo = 0; lo < total; lo += chunk) {
       const word hi = std::min(total, lo + chunk);
-      sim::SendOp op;
-      op.src = mv.src;
-      op.route = route;
-      op.rerouted = rerouted;
-      op.keep_source = mv.keep_source;
-      op.src_slots.assign(mv.src_slots.begin() + static_cast<std::ptrdiff_t>(lo),
-                          mv.src_slots.begin() + static_cast<std::ptrdiff_t>(hi));
-      op.dst_slots.assign(mv.dst_slots.begin() + static_cast<std::ptrdiff_t>(lo),
-                          mv.dst_slots.begin() + static_cast<std::ptrdiff_t>(hi));
-      phase.sends.push_back(std::move(op));
+      const auto part = [lo, hi](const std::vector<sim::slot>& slots) {
+        return std::span(slots).subspan(static_cast<std::size_t>(lo),
+                                        static_cast<std::size_t>(hi - lo));
+      };
+      phase.sends.add(mv.src, route, part(mv.src_slots), part(mv.dst_slots),
+                      {mv.keep_source, rerouted});
     }
   }
   if (!phase.empty()) program.phases.push_back(std::move(phase));

@@ -96,8 +96,8 @@ TEST(TraceConformance, ConflictingSyntheticProgramFailsEdgeDisjointness) {
   prog.local_slots = 2;
   sim::Phase ph;
   ph.label = "conflict";
-  ph.sends.push_back(sim::SendOp{0, {0}, {0}, {0}});
-  ph.sends.push_back(sim::SendOp{0, {0, 1}, {1}, {1}});
+  ph.sends.add(0, {0}, {0}, {0});
+  ph.sends.add(0, {0, 1}, {1}, {1});
   prog.phases.push_back(ph);
 
   const auto m = unit_nport(2);

@@ -36,7 +36,7 @@ TEST(FaultModel, EmptyModelReportsEverythingHealthy) {
   EXPECT_EQ(healthy.up_at(0, 3.5), 3.5);
   EXPECT_EQ(healthy.degrade(0), 1.0);
   EXPECT_FALSE(healthy.permanently_down(0));
-  EXPECT_FALSE(healthy.route_blocked(0, {0, 1, 2}));
+  EXPECT_FALSE(healthy.route_blocked(0, {{0, 1, 2}}));
 
   const FaultModel compiled(3, FaultSpec{});
   EXPECT_TRUE(compiled.empty());
@@ -129,8 +129,8 @@ TEST(FaultModel, RouteBlockedChecksEveryHopFromTheSource) {
   const int n = 3;
   // Cut the wire 2 -- 6 (dim 2 out of node 2).
   const FaultModel fm(n, FaultSpec{}.fail_link(2, 2));
-  EXPECT_TRUE(fm.route_blocked(0, {1, 2}));   // 0 ->1 2 ->2 6 crosses it
-  EXPECT_FALSE(fm.route_blocked(0, {2, 1}));  // 0 ->2 4 ->1 6 avoids it
+  EXPECT_TRUE(fm.route_blocked(0, {{1, 2}}));   // 0 ->1 2 ->2 6 crosses it
+  EXPECT_FALSE(fm.route_blocked(0, {{2, 1}}));  // 0 ->2 4 ->1 6 avoids it
   EXPECT_FALSE(fm.route_blocked(0, {}));
 }
 
@@ -213,12 +213,7 @@ TEST(FaultInjector, ThreadedExecutorRetriesThroughTransientFaults) {
   prog.n = 1;
   prog.local_slots = 1;
   sim::Phase ph;
-  sim::SendOp op;
-  op.src = 0;
-  op.route = {0};
-  op.src_slots = {0};
-  op.dst_slots = {0};
-  ph.sends.push_back(op);
+  ph.sends.add(0, {0}, {0}, {0});
   prog.phases.push_back(ph);
 
   sim::Memory init(2, std::vector<word>(1, sim::kEmptySlot));

@@ -135,8 +135,8 @@ TEST(EngineTracing, OnePortMachineEmitsPortWaits) {
   prog.n = 2;
   prog.local_slots = 4;
   sim::Phase ph;
-  ph.sends.push_back(sim::SendOp{0, {0}, {0}, {0}});
-  ph.sends.push_back(sim::SendOp{0, {1}, {1}, {1}});
+  ph.sends.add(0, {0}, {0}, {0});
+  ph.sends.add(0, {1}, {1}, {1});
   prog.phases.push_back(ph);
 
   auto m = sim::MachineParams::nport(2, 1.0, 0.25);

@@ -50,6 +50,34 @@ TEST(AdmissionQueue, EnforcesTenantFairShare) {
   EXPECT_TRUE(q.try_push(make_request(1)).admitted);
 }
 
+TEST(AdmissionQueue, PushAllAdmitsAllOrNothing) {
+  AdmissionQueue q(QueueOptions{4, 0.5});  // two slots per tenant
+  EXPECT_TRUE(q.try_push(make_request(1)).admitted);
+
+  // One request too many for the queue, or for tenant 1's share: the
+  // whole batch is refused and nothing of it is queued.
+  std::vector<Request> full = {make_request(2), make_request(2), make_request(3),
+                               make_request(3)};
+  EXPECT_EQ(q.try_push_all(full).reason, RejectReason::queue_full);
+  std::vector<Request> over = {make_request(1), make_request(1)};
+  EXPECT_EQ(q.try_push_all(over).reason, RejectReason::tenant_over_share);
+  EXPECT_EQ(q.size(), 1u);
+
+  // A batch that fits is admitted whole, with consecutive ids, and one
+  // pop_ready() takes it together with the earlier request.
+  std::vector<Request> fits = {make_request(1), make_request(2), make_request(2)};
+  const Admission a = q.try_push_all(fits);
+  ASSERT_TRUE(a.admitted);
+  EXPECT_EQ(a.id, 1u);
+  EXPECT_EQ(q.size(), 4u);
+  std::vector<Admitted> out;
+  EXPECT_EQ(q.pop_ready(out), 4u);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].id, i);
+
+  q.close();
+  EXPECT_EQ(q.try_push_all(fits).reason, RejectReason::stopped);
+}
+
 TEST(AdmissionQueue, RejectsAfterClose) {
   AdmissionQueue q(QueueOptions{4, 1.0});
   EXPECT_TRUE(q.try_push(make_request(0)).admitted);

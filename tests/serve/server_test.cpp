@@ -123,10 +123,14 @@ TEST(Server, ZeroDimensionalCubeRequestIsServed) {
 
 TEST(Server, FaultCarryingRequestsServeAlongsideHealthyOnes) {
   Server server;
-  const Admission healthy = server.submit(problem_request());
   Request faulted = problem_request();
   faulted.faults.fail_link(0, 3);
-  const Admission degraded = server.submit(faulted);
+  // Both requests enter the queue under one lock, so the dispatcher
+  // cannot wake between them: they share one serving cycle.
+  const std::vector<Admission> adm = server.submit_all({problem_request(), faulted});
+  ASSERT_EQ(adm.size(), 2u);
+  const Admission healthy = adm[0];
+  const Admission degraded = adm[1];
   ASSERT_TRUE(healthy.admitted);
   ASSERT_TRUE(degraded.admitted);
   const std::vector<Response> out = server.drain();

@@ -300,12 +300,7 @@ Program one_send(int n, word src, std::vector<int> route) {
   p.local_slots = 1;
   Phase ph;
   ph.label = "send";
-  SendOp op;
-  op.src = src;
-  op.route = std::move(route);
-  op.src_slots = {0};
-  op.dst_slots = {0};
-  ph.sends.push_back(op);
+  ph.sends.add(src, route, {{0}}, {{0}});
   p.phases.push_back(ph);
   return p;
 }

@@ -247,44 +247,42 @@ TEST(CompileGolden, LinkTraceMatches) {
   expect_same_trace(data_trace, timing_trace);
 }
 
-Program one_send_program() {
+/// One send from node 0's slot 0 along `route` into `dst_slot`.
+Program one_send_program(const std::vector<int>& route = {0}, slot dst_slot = 0) {
   Program prog;
   prog.n = 1;
   prog.local_slots = 2;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
+  ph.sends.add(0, route, {{0}}, {{dst_slot}});
   prog.phases.push_back(ph);
   return prog;
 }
 
 TEST(Compile, ValidatesRouteDimension) {
-  auto prog = one_send_program();
-  prog.phases[0].sends[0].route = {5};
+  const auto prog = one_send_program({5});
   EXPECT_THROW(compile(prog, MachineParams::nport(1)), ProgramError);
 }
 
 TEST(Compile, ValidatesEmptyRoute) {
-  auto prog = one_send_program();
-  prog.phases[0].sends[0].route.clear();
+  const auto prog = one_send_program({});
   EXPECT_THROW(compile(prog, MachineParams::nport(1)), ProgramError);
 }
 
 TEST(Compile, ValidatesSlotRange) {
-  auto prog = one_send_program();
-  prog.phases[0].sends[0].dst_slots = {7};
+  const auto prog = one_send_program({0}, 7);
   EXPECT_THROW(compile(prog, MachineParams::nport(1)), ProgramError);
 }
 
 TEST(Compile, ValidatesDoubleDeliveryAtCompileTime) {
   auto prog = one_send_program();
-  prog.phases[0].sends.push_back(SendOp{0, {0}, {1}, {0}});  // same dst slot
+  prog.phases[0].sends.add(0, {0}, {1}, {0});  // same dst slot
   EXPECT_THROW(compile(prog, MachineParams::nport(1)), ProgramError);
 }
 
 TEST(Compile, SameDstSlotInDifferentPhasesIsFine) {
   auto prog = one_send_program();
   Phase ph2;
-  ph2.sends.push_back(SendOp{1, {0}, {0}, {0}});
+  ph2.sends.add(1, {0}, {0}, {0});
   prog.phases.push_back(ph2);
   EXPECT_NO_THROW(compile(prog, MachineParams::nport(1)));
 }
@@ -306,16 +304,15 @@ TEST(Compile, SparseDoubleDeliveryCheckMatchesTheDenseOne) {
   const auto m = MachineParams::nport(1);
   for (const word slots : {word{2}, word{1} << 24}) {
     SCOPED_TRACE(slots);
-    auto prog = one_send_program();
+    auto prog = one_send_program({0}, 1);
     prog.local_slots = slots;
-    prog.phases[0].sends[0].dst_slots = {1};
-    prog.phases[0].sends.push_back(SendOp{0, {0}, {1}, {1}});
+    prog.phases[0].sends.add(0, {0}, {1}, {1});
     EXPECT_EQ(compile_error(prog, m), "double delivery to node 1 slot 1");
 
     auto two_phases = one_send_program();
     two_phases.local_slots = slots;
     Phase ph2;
-    ph2.sends.push_back(SendOp{1, {0}, {0}, {0}});
+    ph2.sends.add(1, {0}, {0}, {0});
     two_phases.phases.push_back(ph2);
     EXPECT_EQ(compile_error(two_phases, m), "");
   }

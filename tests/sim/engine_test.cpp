@@ -40,7 +40,7 @@ TEST(Engine, SingleHopTime) {
   prog.local_slots = 2;
   Phase ph;
   ph.label = "send";
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
+  ph.sends.add(0, {0}, {0}, {0});
   prog.phases.push_back(ph);
 
   const Engine engine(simple(1));
@@ -61,8 +61,8 @@ TEST(Engine, ExchangeIsConcurrentOnBidirectionalLink) {
   prog.n = 1;
   prog.local_slots = 2;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0, 1}, {0, 1}});
-  ph.sends.push_back(SendOp{1, {0}, {0, 1}, {0, 1}});
+  ph.sends.add(0, {0}, {0, 1}, {0, 1});
+  ph.sends.add(1, {0}, {0, 1}, {0, 1});
   prog.phases.push_back(ph);
 
   const Engine engine(simple(1));
@@ -80,8 +80,8 @@ TEST(Engine, OnePortSerializesSends) {
   prog.local_slots = 2;
   Memory mem{{1, 2}, {3, 4}, {5, 6}, {7, 8}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});  // to node 1
-  ph.sends.push_back(SendOp{0, {1}, {1}, {0}});  // to node 2
+  ph.sends.add(0, {0}, {0}, {0});  // to node 1
+  ph.sends.add(0, {1}, {1}, {0});  // to node 2
   prog.phases.push_back(ph);
 
   const auto res1 = Engine(simple(2, PortModel::one_port)).run(prog, mem);
@@ -100,8 +100,8 @@ TEST(Engine, OnePortSerializesReceives) {
   prog.local_slots = 2;
   Memory mem{{kEmptySlot, kEmptySlot}, {3, 4}, {5, 6}, {7, 8}};
   Phase ph;
-  ph.sends.push_back(SendOp{1, {0}, {0}, {0}});
-  ph.sends.push_back(SendOp{2, {1}, {0}, {1}});
+  ph.sends.add(1, {0}, {0}, {0});
+  ph.sends.add(2, {1}, {0}, {1});
   prog.phases.push_back(ph);
 
   const auto res1 = Engine(simple(2, PortModel::one_port)).run(prog, mem);
@@ -118,7 +118,7 @@ TEST(Engine, MultiHopStoreAndForward) {
   prog.local_slots = 1;
   Memory mem{{42}, {kEmptySlot}, {kEmptySlot}, {kEmptySlot}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0, 1}, {0}, {0}});  // 0 -> 1 -> 3
+  ph.sends.add(0, {0, 1}, {0}, {0});  // 0 -> 1 -> 3
   prog.phases.push_back(ph);
 
   const auto res = Engine(simple(2)).run(prog, mem);
@@ -137,8 +137,8 @@ TEST(Engine, LinkContentionSerializes) {
   Memory mem{{1, 2}, {kEmptySlot, kEmptySlot}, {kEmptySlot, kEmptySlot},
              {kEmptySlot, kEmptySlot}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
-  ph.sends.push_back(SendOp{0, {0}, {1}, {1}});
+  ph.sends.add(0, {0}, {0}, {0});
+  ph.sends.add(0, {0}, {1}, {1});
   prog.phases.push_back(ph);
 
   const auto res = Engine(simple(2, PortModel::n_port)).run(prog, mem);
@@ -153,7 +153,7 @@ TEST(Engine, PacketizationChargesMultipleStartups) {
   prog.local_slots = 4;
   Memory mem{{1, 2, 3, 4}, {kEmptySlot, kEmptySlot, kEmptySlot, kEmptySlot}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0, 1, 2, 3}, {0, 1, 2, 3}});
+  ph.sends.add(0, {0}, {0, 1, 2, 3}, {0, 1, 2, 3});
   prog.phases.push_back(ph);
 
   const auto res = Engine(m).run(prog, mem);
@@ -195,7 +195,7 @@ TEST(Engine, CopyDelaysSend) {
   prog.local_slots = 2;
   Phase ph;
   ph.pre_copies.push_back(CopyOp{0, {0, 1}, {1, 0}, true});  // 1.0
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});              // 2.0
+  ph.sends.add(0, {0}, {0}, {0});              // 2.0
   prog.phases.push_back(ph);
 
   const auto res = Engine(simple(1)).run(prog, two_nodes());
@@ -210,7 +210,7 @@ TEST(Engine, StagingCharge) {
   prog.local_slots = 2;
   Phase ph;
   ph.stage.push_back(StageOp{0, 8});  // 8 bytes * 0.25 = 2
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
+  ph.sends.add(0, {0}, {0}, {0});
   prog.phases.push_back(ph);
 
   const auto res = Engine(simple(1)).run(prog, two_nodes());
@@ -222,8 +222,8 @@ TEST(Engine, PhasesBarrier) {
   prog.n = 1;
   prog.local_slots = 2;
   Phase a, b;
-  a.sends.push_back(SendOp{0, {0}, {0}, {0}});  // 2.0
-  b.sends.push_back(SendOp{1, {0}, {1}, {1}});  // 2.0 after barrier
+  a.sends.add(0, {0}, {0}, {0});  // 2.0
+  b.sends.add(1, {0}, {1}, {1});  // 2.0 after barrier
   prog.phases.push_back(a);
   prog.phases.push_back(b);
 
@@ -241,8 +241,8 @@ TEST(Engine, SnapshotSemanticsSwap) {
   prog.n = 1;
   prog.local_slots = 2;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {1}});
-  ph.sends.push_back(SendOp{1, {0}, {1}, {0}});
+  ph.sends.add(0, {0}, {0}, {1});
+  ph.sends.add(1, {0}, {1}, {0});
   prog.phases.push_back(ph);
 
   const auto res = Engine(simple(1)).run(prog, two_nodes());
@@ -265,7 +265,7 @@ TEST(Engine, CutThroughPaysStartupOnce) {
   Memory mem(8, std::vector<word>{kEmptySlot});
   mem[0][0] = 9;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0, 1, 2}, {0}, {0}});
+  ph.sends.add(0, {0, 1, 2}, {0}, {0});
   prog.phases.push_back(ph);
 
   const auto res = Engine(m).run(prog, mem);
@@ -280,8 +280,8 @@ TEST(Engine, ErrorsOnDoubleDelivery) {
   prog.n = 1;
   prog.local_slots = 2;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
-  ph.sends.push_back(SendOp{0, {0}, {1}, {0}});
+  ph.sends.add(0, {0}, {0}, {0});
+  ph.sends.add(0, {0}, {1}, {0});
   prog.phases.push_back(ph);
   EXPECT_THROW(Engine(simple(1)).run(prog, two_nodes()), ProgramError);
 }
@@ -292,7 +292,7 @@ TEST(Engine, ErrorsOnEmptyRead) {
   prog.local_slots = 2;
   Memory mem{{kEmptySlot, kEmptySlot}, {1, 2}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
+  ph.sends.add(0, {0}, {0}, {0});
   prog.phases.push_back(ph);
   EXPECT_THROW(Engine(simple(1)).run(prog, mem), ProgramError);
 }
@@ -302,7 +302,7 @@ TEST(Engine, ErrorsOnBadRoute) {
   prog.n = 1;
   prog.local_slots = 2;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {5}, {0}, {0}});
+  ph.sends.add(0, {5}, {0}, {0});
   prog.phases.push_back(ph);
   EXPECT_THROW(Engine(simple(1)).run(prog, two_nodes()), ProgramError);
 }
@@ -317,7 +317,7 @@ TEST(Engine, LinkTraceRecordsIntervals) {
   prog.n = 1;
   prog.local_slots = 2;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
+  ph.sends.add(0, {0}, {0}, {0});
   prog.phases.push_back(ph);
 
   Engine(simple(1), opt).run(prog, two_nodes());
@@ -352,9 +352,9 @@ TEST(Engine, RunRaisesCompileErrorsBeforeDataErrors) {
   prog.n = 1;
   prog.local_slots = 2;
   Phase read_empty;
-  read_empty.sends.push_back(SendOp{0, {0}, {0}, {0}});
+  read_empty.sends.add(0, {0}, {0}, {0});
   Phase bad_route;
-  bad_route.sends.push_back(SendOp{1, {5}, {1}, {1}});
+  bad_route.sends.add(1, {5}, {1}, {1});
   prog.phases = {read_empty, bad_route};
   const Memory mem{{kEmptySlot, 11}, {20, 21}};
   const std::string from_compile = program_error([&] { compile(prog, simple(1)); });

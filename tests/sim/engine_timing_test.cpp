@@ -26,8 +26,8 @@ TEST(EngineTiming, CutThroughContentionSerializes) {
   Memory mem{{1, 2}, {kEmptySlot, kEmptySlot}, {kEmptySlot, kEmptySlot},
              {kEmptySlot, kEmptySlot}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0, 1}, {0}, {0}});  // 0 -> 1 -> 3
-  ph.sends.push_back(SendOp{0, {0}, {1}, {0}});     // 0 -> 1 over the same first link
+  ph.sends.add(0, {0, 1}, {0}, {0});  // 0 -> 1 -> 3
+  ph.sends.add(0, {0}, {1}, {0});     // 0 -> 1 over the same first link
   prog.phases.push_back(ph);
 
   const auto res = Engine(cut(2)).run(prog, mem);
@@ -48,8 +48,8 @@ TEST(EngineTiming, CutThroughOnePortSerializesAtSource) {
   Memory mem{{1, 2}, {kEmptySlot, kEmptySlot}, {kEmptySlot, kEmptySlot},
              {kEmptySlot, kEmptySlot}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});  // to 1
-  ph.sends.push_back(SendOp{0, {1}, {1}, {0}});  // to 2, different link
+  ph.sends.add(0, {0}, {0}, {0});  // to 1
+  ph.sends.add(0, {1}, {1}, {0});  // to 2, different link
   prog.phases.push_back(ph);
   const auto res = Engine(m).run(prog, mem);
   // Each send: tau + 2 * 0.5 = 2; source port serialises them.
@@ -65,7 +65,7 @@ TEST(EngineTiming, PostStageChargesReceiver) {
   prog.local_slots = 1;
   Memory mem{{7}, {kEmptySlot}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
+  ph.sends.add(0, {0}, {0}, {0});
   ph.post_stage.push_back(StageOp{1, 8});  // 8 bytes * 0.25 = 2
   prog.phases.push_back(ph);
   const auto res = Engine(m).run(prog, mem);
@@ -83,7 +83,7 @@ TEST(EngineTiming, PhaseStatsAreFilled) {
   Memory mem{{1, 2}, {kEmptySlot, kEmptySlot}};
   Phase a;
   a.label = "first";
-  a.sends.push_back(SendOp{0, {0}, {0, 1}, {0, 1}});
+  a.sends.add(0, {0}, {0, 1}, {0, 1});
   prog.phases.push_back(a);
   const auto res = Engine(m).run(prog, mem);
   ASSERT_EQ(res.phases.size(), 1U);
@@ -103,8 +103,8 @@ TEST(EngineTiming, BusiestLinkTimeTracksBottleneck) {
   prog.local_slots = 2;
   Memory mem{{1, 2}, {kEmptySlot, kEmptySlot}};
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0}, {0}});
-  ph.sends.push_back(SendOp{0, {0}, {1}, {1}});
+  ph.sends.add(0, {0}, {0}, {0});
+  ph.sends.add(0, {0}, {1}, {1});
   prog.phases.push_back(ph);
   const auto res = Engine(m).run(prog, mem);
   // Both messages cross the same link: 2 * (1 + 1) busy time.
@@ -130,8 +130,8 @@ TEST(EngineTiming, ApplyDataMatchesEngine) {
   Memory mem{{1, 2}, {3, 4}, {5, 6}, {7, 8}};
   Phase a, b;
   a.pre_copies.push_back(CopyOp{0, {0, 1}, {1, 0}, true});
-  a.sends.push_back(SendOp{0, {0, 1}, {0}, {1}});
-  b.sends.push_back(SendOp{3, {1}, {1}, {0}});
+  a.sends.add(0, {0, 1}, {0}, {1});
+  b.sends.add(3, {1}, {1}, {0});
   b.post_copies.push_back(CopyOp{1, {0, 1}, {1, 0}, false});
   prog.phases.push_back(a);
   prog.phases.push_back(b);
@@ -145,8 +145,8 @@ TEST(EngineTiming, ProgramCounters) {
   prog.n = 1;
   prog.local_slots = 4;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0}, {0, 1}, {0, 1}});
-  ph.sends.push_back(SendOp{1, {0}, {2}, {2}});
+  ph.sends.add(0, {0}, {0, 1}, {0, 1});
+  ph.sends.add(1, {0}, {2}, {2});
   prog.phases.push_back(ph);
   prog.phases.push_back(ph);
   EXPECT_EQ(prog.total_sends(), 4U);

@@ -17,8 +17,8 @@ TEST(Report, DimensionTrafficCountsHops) {
   prog.n = 3;
   prog.local_slots = 2;
   Phase ph;
-  ph.sends.push_back(SendOp{0, {0, 2}, {0, 1}, {0, 1}});
-  ph.sends.push_back(SendOp{1, {2}, {0}, {0}});
+  ph.sends.add(0, {0, 2}, {0, 1}, {0, 1});
+  ph.sends.add(1, {2}, {0}, {0});
   prog.phases.push_back(ph);
   const auto traffic = dimension_traffic(prog);
   ASSERT_EQ(traffic.size(), 3U);
