@@ -187,6 +187,16 @@ sim::Memory spec_memory(const cube::PartitionSpec& spec, int machine_n, word loc
   return mem;
 }
 
+std::vector<word> spec_image(const cube::PartitionSpec& spec, int machine_n, word local_slots) {
+  const word nnodes = word{1} << machine_n;
+  assert(spec.processors() <= nnodes);
+  assert(spec.local_elements() <= local_slots);
+  std::vector<word> image(static_cast<std::size_t>(nnodes * local_slots), sim::kEmptySlot);
+  for (word w = 0; w < spec.shape().elements(); ++w)
+    image[static_cast<std::size_t>(spec.processor_of(w) * local_slots + spec.local_of(w))] = w;
+  return image;
+}
+
 sim::Memory transposed_memory(const cube::MatrixShape& before_shape,
                               const cube::PartitionSpec& after, int machine_n,
                               word local_slots) {

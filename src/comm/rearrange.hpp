@@ -79,6 +79,10 @@ sim::Memory permuted_memory(const cube::PartitionSpec& after, const std::vector<
 /// Initial memory image for a spec on a machine with 2^machine_n nodes.
 sim::Memory spec_memory(const cube::PartitionSpec& spec, int machine_n, word local_slots);
 
+/// spec_memory as one flat image: node x's `local_slots` slots are
+/// [x * local_slots, (x + 1) * local_slots).
+std::vector<word> spec_image(const cube::PartitionSpec& spec, int machine_n, word local_slots);
+
 /// Expected memory after transposition: `after` is a spec over the
 /// transposed shape; slot contents are the *original* element addresses.
 sim::Memory transposed_memory(const cube::MatrixShape& before_shape,

@@ -24,6 +24,18 @@ std::function<Placement(word)> transposed_placement(const cube::MatrixShape shap
   };
 }
 
+/// Node memories of equal size as one flat image.
+std::vector<word> flat_image(const sim::Memory& memory) {
+  const std::size_t slots = memory.empty() ? 0 : memory.front().size();
+  std::vector<word> image;
+  image.reserve(memory.size() * slots);
+  for (const auto& node : memory) {
+    assert(node.size() == slots);
+    image.insert(image.end(), node.begin(), node.end());
+  }
+  return image;
+}
+
 /// Concatenate programs (same n); local_slots becomes the maximum.
 sim::Program concat(std::vector<sim::Program> programs) {
   sim::Program out;
@@ -51,9 +63,10 @@ sim::Program transpose_mixed_combined(const cube::PartitionSpec& before,
   std::vector<std::vector<int>> schedule;
   for (int j = half - 1; j >= 0; --j) schedule.push_back({j + half, j});
 
-  const auto init = comm::spec_memory(before, n, before.local_elements());
-  return route_elements(n, init, transposed_placement(before.shape(), after), schedule,
-                        options, "combined");
+  const word slots = before.local_elements();
+  return route_elements(n, comm::spec_image(before, n, slots), slots,
+                        transposed_placement(before.shape(), after), schedule, options,
+                        "combined");
 }
 
 sim::Program transpose_mixed_naive(const cube::PartitionSpec& before,
@@ -76,15 +89,14 @@ sim::Program transpose_mixed_naive(const cube::PartitionSpec& before,
   for (int d = half - 1; d >= 0; --d) col_dims.push_back({d});
 
   const auto init = comm::spec_memory(before, n, before.local_elements());
-  auto prog_a = route_elements(n, init, placement_in(stage_a), row_dims, options,
-                               "naive-row-conv");
+  auto prog_a = route_elements(n, flat_image(init), before.local_elements(),
+                               placement_in(stage_a), row_dims, options, "naive-row-conv");
   auto mem_a = sim::apply_data(prog_a, sim::make_memory(init, word{1} << n,
                                                         prog_a.local_slots));
 
   // Stage B: convert the column encoding.
-  auto prog_b =
-      route_elements(n, mem_a, placement_in(intermediate), col_dims, options,
-                     "naive-col-conv");
+  auto prog_b = route_elements(n, flat_image(mem_a), prog_a.local_slots,
+                               placement_in(intermediate), col_dims, options, "naive-col-conv");
   auto mem_b =
       sim::apply_data(prog_b, sim::make_memory(mem_a, word{1} << n, prog_b.local_slots));
 
@@ -92,8 +104,9 @@ sim::Program transpose_mixed_naive(const cube::PartitionSpec& before,
   // transpose sweep.
   std::vector<std::vector<int>> pair_schedule;
   for (int j = half - 1; j >= 0; --j) pair_schedule.push_back({j + half, j});
-  auto prog_c = route_elements(n, mem_b, transposed_placement(before.shape(), after),
-                               pair_schedule, options, "naive-transpose");
+  auto prog_c = route_elements(n, flat_image(mem_b), prog_b.local_slots,
+                               transposed_placement(before.shape(), after), pair_schedule,
+                               options, "naive-transpose");
 
   return concat({std::move(prog_a), std::move(prog_b), std::move(prog_c)});
 }

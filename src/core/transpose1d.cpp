@@ -17,8 +17,8 @@ sim::Program transpose_1d(const cube::PartitionSpec& before, const cube::Partiti
 
 namespace {
 
-sim::Memory initial_from_spec(const cube::PartitionSpec& spec, int machine_n) {
-  return comm::spec_memory(spec, machine_n, spec.local_elements());
+std::vector<word> initial_from_spec(const cube::PartitionSpec& spec, int machine_n) {
+  return comm::spec_image(spec, machine_n, spec.local_elements());
 }
 
 std::function<Placement(word)> transpose_dest(const cube::MatrixShape shape,
@@ -36,7 +36,7 @@ sim::Program transpose_1d_routed(const cube::PartitionSpec& before,
                                  const RouterOptions& options) {
   assert(after.shape() == before.shape().transposed());
   return route_elements(machine_n, initial_from_spec(before, machine_n),
-                        transpose_dest(before.shape(), after),
+                        before.local_elements(), transpose_dest(before.shape(), after),
                         per_dimension_schedule(machine_n), options, "transpose1d");
 }
 
@@ -44,7 +44,7 @@ sim::Program transpose_1d_direct(const cube::PartitionSpec& before,
                                  const cube::PartitionSpec& after, int machine_n,
                                  const RouterOptions& options) {
   assert(after.shape() == before.shape().transposed());
-  return route_direct(machine_n, initial_from_spec(before, machine_n),
+  return route_direct(machine_n, initial_from_spec(before, machine_n), before.local_elements(),
                       transpose_dest(before.shape(), after), options);
 }
 
