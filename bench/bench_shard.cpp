@@ -2,7 +2,11 @@
 // the two 20-cube (1,048,576-node) transpose workloads end-to-end --
 // the one-port SPT stepwise exchange (iPSC model) and the n-port MPT
 // direct transpose (CM model) -- compiles each once, then executes the
-// compiled program through shard::ShardEngine at 1/2/4/8 shards.
+// compiled program through shard::ShardEngine at 1/2/4/8 shards.  Only
+// the store-and-forward SPT rows open lookahead windows: ShardEngine
+// runs every cut-through program (the CM model's MPT rows) as the plain
+// sim::Engine's run, so those rows time the single-thread engine at
+// every shard count and report 0 windows.
 //
 // Two tables:
 //   * "Sharded engine throughput" (gated in CI via
@@ -55,9 +59,9 @@ Workload make_spt20() {
 }
 
 /// n-port MPT path: one direct message per processor pair on the CM
-/// model (cut-through).  Routes span the whole cube, so nearly every
-/// packet crosses a shard boundary and lands on the serial spine --
-/// the honest worst case for the conservative executor.
+/// model (cut-through).  A cut-through send reserves a route across the
+/// whole cube in one event, so no window could run it shard-locally:
+/// ShardEngine runs it as the plain engine's run at every shard count.
 Workload make_mpt20() {
   const int n = 20, half = 10, lg = 20;
   const cube::MatrixShape s{lg / 2, lg - lg / 2};

@@ -11,7 +11,6 @@
 #include "kernels/boolmm.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/tune.hpp"
-#include "shard/auto.hpp"
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
 #include "tune/serialize.hpp"
@@ -303,9 +302,7 @@ void Server::serve_cycle(std::vector<Admitted>& items) {
         sim::EngineOptions eopt;
         eopt.faults = fault_model.empty() ? nullptr : &fault_model;
         const sim::Engine engine(proto.machine, eopt);
-        // Bit-identical shard routing for large machines (shard/auto.hpp):
-        // slot times stay independent of the path taken.
-        shard::run_timing_batch_auto(engine, progs, batch_scratch_, options_.jobs);
+        engine.run_timing_batch(progs, batch_scratch_, options_.jobs);
         for (std::size_t k = 0; k < progs.size(); ++k) {
           const sim::BatchRun& run = batch_scratch_.runs[k];
           slots[prog_slot[k]].executed = true;
@@ -437,14 +434,8 @@ void Server::tuner_main() {
 
     {
       const std::lock_guard<std::mutex> lock(tune_mu_);
-      if (ok) {
-        tune::CacheEntry entry;
-        entry.choice = plan.choice;
-        entry.predicted_seconds = plan.predicted_seconds;
-        entry.measured_seconds = plan.measured_seconds;
-        entry.algorithm = plan.algorithm;
-        pending_publish_.push_back(PendingPublish{std::move(job.key), std::move(entry)});
-      }
+      if (ok)
+        pending_publish_.push_back(PendingPublish{std::move(job.key), tune::cache_entry(plan)});
       // Record stats BEFORE dropping tune_busy_: a drainer that passes
       // the tune_idle_ barrier must observe this job's counters.
       {

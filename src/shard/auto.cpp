@@ -1,6 +1,5 @@
 #include "shard/auto.hpp"
 
-#include <cstdlib>
 #include <thread>
 
 #include "fault/fault.hpp"
@@ -9,34 +8,10 @@
 
 namespace nct::shard {
 
-namespace {
-
-/// Parse a non-negative integer environment variable; `fallback` when
-/// unset or unparsable (a misconfigured operator knob must not abort
-/// the service).
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) noexcept {
-  const char* const v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return parsed;
-}
-
-}  // namespace
-
 std::uint32_t AutoPolicy::effective_shards() const noexcept {
   if (shards > 0) return shards;
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? hc : 1;
-}
-
-AutoPolicy AutoPolicy::from_env() noexcept {
-  AutoPolicy p;
-  p.min_nodes = static_cast<word>(env_u64("NCT_SHARD_MIN_NODES", p.min_nodes));
-  const std::uint64_t shards = env_u64("NCT_SHARD_THREADS", 0);
-  if (shards <= kMaxShards) p.shards = static_cast<std::uint32_t>(shards);
-  return p;
 }
 
 std::size_t run_timing_batch_auto(const sim::Engine& engine,
@@ -71,14 +46,6 @@ std::size_t run_timing_batch_auto(const sim::Engine& engine,
     }
   }
   return ok;
-}
-
-std::size_t run_timing_batch_auto(const sim::Engine& engine,
-                                  std::span<const sim::CompiledProgram* const> programs,
-                                  sim::BatchScratch& batch, int jobs,
-                                  const AutoPolicy& policy) {
-  static thread_local AutoScratch scratch;
-  return run_timing_batch_auto(engine, programs, batch, jobs, scratch, policy);
 }
 
 }  // namespace nct::shard

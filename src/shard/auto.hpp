@@ -1,26 +1,21 @@
-// Transparent routing of large-machine timing runs onto the sharded
-// engine.
+// Size-gated routing of a timing batch onto the sharded engine.
 //
-// `run_timing_batch_auto` is a drop-in replacement for
+// `run_timing_batch_auto` runs a batch like
 // `sim::Engine::run_timing_batch`.  Every program of a valid batch runs
 // on the engine's machine (a program compiled for another machine
 // raises ProgramError on either path), so the routing is decided once
-// per batch: an engine machine below the size threshold runs the
+// per batch: an engine machine below `AutoPolicy::min_nodes` runs the
 // ordinary batched engine, one at or above it runs every program
 // through `ShardEngine` with the topology's natural partition.  Because
 // the sharded path is bit-identical to the single-thread path for every
 // program (see shard/engine.hpp), callers observe exactly the same
-// results either way — the routing is purely a resource decision, which
-// is why the tuner and the transpose service can adopt it without
-// changing any golden output.
+// results either way.
 //
-// Policy knobs (environment overrides for operators, see from_env):
-//   NCT_SHARD_MIN_NODES  — machine size at which runs go sharded
-//                          (default 16384; 0 disables the sharded path);
-//   NCT_SHARD_THREADS    — shard count to request (default: hardware
-//                          concurrency; at most AutoPolicy::kMaxShards;
-//                          the partitioner clamps to what the topology
-//                          can cut).
+// The tuner and the transpose service call `Engine::run_timing_batch`,
+// which parallelises across programs instead; the sharded engine did not
+// beat the plain one on any measured machine (ROADMAP item 4).  This
+// router remains only for perfbench's cube18_transpose workload, and
+// goes once that workload runs `ShardEngine` directly.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +26,8 @@
 
 namespace nct::shard {
 
-/// When and how widely to shard.  Defaults match from_env() with no
-/// environment set.
+/// When and how widely to shard.
 struct AutoPolicy {
-  /// Largest NCT_SHARD_THREADS value from_env accepts: each shard is a
-  /// host thread, so a larger value is treated like an unparsable one.
-  static constexpr std::uint32_t kMaxShards = 256;
-
   /// Route a program through the sharded engine when its machine has at
   /// least this many nodes; 0 disables sharding entirely.
   word min_nodes = word{1} << 14;
@@ -48,11 +38,6 @@ struct AutoPolicy {
   /// Shard count to request for a run (resolves 0 to the host's
   /// concurrency, never less than 1).
   std::uint32_t effective_shards() const noexcept;
-
-  /// Policy with NCT_SHARD_MIN_NODES / NCT_SHARD_THREADS applied
-  /// (unset or unparsable variables, and a shard count above
-  /// kMaxShards, keep the defaults).
-  static AutoPolicy from_env() noexcept;
 };
 
 /// Grow-only storage for run_timing_batch_auto, reusable across calls
@@ -61,7 +46,7 @@ struct AutoScratch {
   ShardScratch shard;  ///< shared by the sharded runs (serial).
 };
 
-/// Batched timing-only execution with automatic shard routing.  Same
+/// Batched timing-only execution with size-gated shard routing.  Same
 /// contract as `sim::Engine::run_timing_batch`: results land at the
 /// program's index in `batch.runs`, fault::FaultError is captured per
 /// slot (ok = false), anything else propagates, and the return value is
@@ -70,13 +55,6 @@ struct AutoScratch {
 std::size_t run_timing_batch_auto(const sim::Engine& engine,
                                   std::span<const sim::CompiledProgram* const> programs,
                                   sim::BatchScratch& batch, int jobs, AutoScratch& scratch,
-                                  const AutoPolicy& policy = AutoPolicy::from_env());
-
-/// Convenience overload keeping one thread-local AutoScratch, for call
-/// sites that already own only a BatchScratch.
-std::size_t run_timing_batch_auto(const sim::Engine& engine,
-                                  std::span<const sim::CompiledProgram* const> programs,
-                                  sim::BatchScratch& batch, int jobs,
-                                  const AutoPolicy& policy = AutoPolicy::from_env());
+                                  const AutoPolicy& policy);
 
 }  // namespace nct::shard

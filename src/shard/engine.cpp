@@ -17,7 +17,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using Event = detail::EventHeap::Event;
+using Event = ShardScratch::Event;
 
 bool ev_less(double r1, std::uint32_t p1, double r2, std::uint32_t p2) noexcept {
   return r1 != r2 ? r1 < r2 : p1 < p2;
@@ -90,7 +90,6 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
   }
 
   const bool one_port = env.one_port;
-  const bool cut_through = params.switching == sim::Switching::cut_through;
 
   Shared shared;
   std::atomic<bool> abort{false};
@@ -117,11 +116,12 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
 
       // Injection: each shard enqueues the packets whose first link it
       // owns (the first hop starts at the source node).
+      sh.queue.begin_phase(shared.clock, cp.event_dt_hint());
       for (std::uint32_t pid = 0; pid < nsends; ++pid) {
         if (node_owner[static_cast<std::size_t>(phase_sends[pid].src)] != me) continue;
         const double nd = node_done[static_cast<std::size_t>(phase_sends[pid].src)];
-        sh.queue.push({nd > shared.clock ? nd : shared.clock, pid});
-        if (!cut_through) pkt_hop[pid] = 0;
+        sh.queue.push(pid, nd > shared.clock ? nd : shared.clock);
+        pkt_hop[pid] = 0;
       }
       sync.arrive_and_wait();  // all queues primed
 
@@ -135,7 +135,7 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
         const sim::CompiledSend& s = phase_sends[pid];
         const std::uint32_t to = link_owner[link_pool[s.link_off + pkt_hop[pid]]];
         if (to == me) {
-          sh.queue.push({end, pid});
+          sh.queue.push(pid, end);
         } else {
           sh.outbox[to].push_back({end, pid});
         }
@@ -145,40 +145,23 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
       // log.
       const auto forward_direct = [&](std::uint32_t pid, double end) {
         const sim::CompiledSend& s = phase_sends[pid];
-        ss.shards[link_owner[link_pool[s.link_off + pkt_hop[pid]]]].queue.push({end, pid});
+        ss.shards[link_owner[link_pool[s.link_off + pkt_hop[pid]]]].queue.push(pid, end);
       };
       const auto deliver_direct = [&](word dst, double end) {
         ss.shards[0].deliveries.push_back({dst, end});
       };
       const auto run_event = [&](const Event& ev, auto&& fwd, auto&& dlv) {
-        const sim::CompiledSend& s = phase_sends[ev.pid];
-        const std::uint64_t seq = seq_base + ev.pid;
-        if (cut_through) {
-          sim::detail::step_cut_through<false, kLean>(env, phase_index, s, ev.ready, seq, dlv);
-        } else {
-          sim::detail::step_store_forward<false, kLean>(env, phase_index, ev.pid, s, ev.ready,
-                                                        seq, fwd, dlv);
-        }
+        sim::detail::step_store_forward<false, kLean>(env, phase_index, ev.pid,
+                                                      phase_sends[ev.pid], ev.ready,
+                                                      seq_base + ev.pid, fwd, dlv);
       };
 
       // Cross classification: can this event touch state another shard
       // may also touch this window?  One-port deliveries into a foreign
       // shard couple through the destination's receive port; any
-      // faulted link couples through the (single-writer) fault gate;
-      // a cut-through route couples through every link it spans.
+      // faulted link couples through the (single-writer) fault gate.
       const auto is_cross = [&](const Event& ev) {
         const sim::CompiledSend& s = phase_sends[ev.pid];
-        if (cut_through) {
-          if (one_port && (node_owner[static_cast<std::size_t>(s.src)] != me ||
-                           node_owner[static_cast<std::size_t>(s.dst)] != me))
-            return true;
-          for (std::uint32_t i = 0; i < s.route_len; ++i) {
-            const std::uint32_t ci = link_pool[s.link_off + i];
-            if (link_owner[ci] != me) return true;
-            if (have_faults && link_faulted[ci]) return true;
-          }
-          return false;
-        }
         const std::uint32_t hop = pkt_hop[ev.pid];
         const std::uint32_t ci = link_pool[s.link_off + hop];
         if (have_faults && link_faulted[ci]) return true;
@@ -197,9 +180,7 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
             for (std::uint32_t s = 0; s < nshards; ++s)
               w0 = std::min(w0, ss.shards[s].min_ready);
             shared.phase_done = w0 == kInf;
-            // Cut-through phases never re-inject: the whole phase is
-            // one window.  Store-and-forward windows span one lookahead.
-            shared.w_end = cut_through ? kInf : w0 + ph.lookahead;
+            shared.w_end = w0 + ph.lookahead;
             if (!shared.phase_done) ++windows;
           }
           sync.arrive_and_wait();  // W2: window bounds published
@@ -277,7 +258,7 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
           for (std::uint32_t from = 0; from < nshards; ++from) {
             if (from == me) continue;
             auto& box = ss.shards[from].outbox[me];
-            for (const Event& ev : box) sh.queue.push(ev);
+            for (const Event& ev : box) sh.queue.push(ev.pid, ev.ready);
             box.clear();
           }
         }
@@ -368,13 +349,15 @@ void ShardEngine::run_timing(const sim::CompiledProgram& compiled,
   for (const std::uint32_t o : partition.owner)
     if (o >= partition.shards) throw sim::ProgramError("partition owner out of range");
 
-  // A traced run observes one globally ordered event stream, and a
-  // store-and-forward phase without lookahead admits no window: both run
-  // as the single-thread engine's run, every event on the serial spine.
-  bool serial = options_.trace != nullptr;
-  if (params_.switching == sim::Switching::store_and_forward)
-    for (const sim::CompiledPhase& ph : compiled.phases())
-      serial = serial || (ph.send_end > ph.send_begin && ph.lookahead <= 0.0);
+  // A traced run observes one globally ordered event stream, a
+  // cut-through send reserves its whole route in one event (no window
+  // can run it shard-locally), and a store-and-forward phase without
+  // lookahead admits no window: all three run as the single-thread
+  // engine's run, every event on the serial spine.
+  const bool cut_through = params_.switching == sim::Switching::cut_through;
+  bool serial = options_.trace != nullptr || cut_through;
+  for (const sim::CompiledPhase& ph : compiled.phases())
+    serial = serial || (ph.send_end > ph.send_begin && ph.lookahead <= 0.0);
   if (serial) {
     sim::Engine(params_, options_).run_timing(compiled, scratch.base, out);
     if (stats) {
@@ -383,9 +366,7 @@ void ShardEngine::run_timing(const sim::CompiledProgram& compiled,
       stats->parallel_events = 0;
       // One event per send (cut-through) or per hop (a fault retry waits
       // inline and does not re-inject).
-      stats->serial_events = params_.switching == sim::Switching::cut_through
-                                 ? out.total_sends
-                                 : out.total_hops;
+      stats->serial_events = cut_through ? out.total_sends : out.total_hops;
       stats->shard_events.assign(partition.shards, 0);
       stats->shard_nodes = partition.counts();
     }

@@ -15,8 +15,7 @@
 //    (availability clock, busy total) has a single writer per window.
 //    First-hop send-port state is co-located by construction; the only
 //    couplings that can cross shards are one-port *deliveries* (the
-//    receive port of a remote destination), faulted/degraded links, and
-//    cut-through routes that span shards.
+//    receive port of a remote destination) and faulted/degraded links.
 //  * Lookahead windows.  Within a phase, events are executed in barrier
 //    windows [W, W + L), where L is the phase's compiled lookahead (the
 //    minimum per-event time increment of any of its sends).  Every
@@ -24,7 +23,8 @@
 //    (fault degradation only multiplies costs by factors >= 1), so no
 //    event can be born into the window that schedules it: the window's
 //    event set is complete when it opens, and no null messages are
-//    needed.  Cut-through phases never re-inject, so they run as one
+//    needed.  Each shard keeps its events in the single-thread engine's
+//    calendar queue (sim/scratch.hpp), peeking its front to bound the
 //    window.
 //  * Serial spine.  Each shard drains its window events in exact
 //    (ready, pid) order and classifies them: an event that can touch
@@ -37,10 +37,12 @@
 //    identical order, identical doubles.  Deliveries (node-done clocks,
 //    phase end) are folded at the phase barrier, exact because fp max
 //    is associative and commutative.
-//  * Serial runs.  A traced run (one globally ordered event stream) or
-//    one with a store-and-forward phase of zero lookahead (no window
-//    can open) is the single-thread engine's run on the shared scratch;
-//    ShardStats then counts every event as serial.
+//  * Serial runs.  A traced run (one globally ordered event stream), a
+//    cut-through run (each send reserves its whole route in one event,
+//    so nearly every event would be cross) and one with a phase of zero
+//    lookahead (no window can open) are the single-thread engine's run
+//    on the shared scratch; ShardStats then counts every event as
+//    serial.  Windows therefore serve store-and-forward runs only.
 //
 // The engine is timing-only (the sharded path exists for machines far
 // too large to hold per-node memory images; data-mode correctness is
@@ -48,7 +50,6 @@
 // policies and event traces are honoured exactly as in `sim::Engine`.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -82,48 +83,12 @@ struct ShardStats {
   double imbalance() const noexcept;
 };
 
-namespace detail {
-
-/// Exact min-heap on (ready, pid) with a peek — the shard queues need a
-/// readable front (to compute window bounds) which the calendar queue's
-/// consume-only contract cannot provide.  Pop order is identical to the
-/// calendar queue's (ascending ready, ties on pid), so simulated times
-/// do not depend on which queue implementation a path uses.
-struct EventHeap {
-  struct Event {
-    double ready = 0.0;
-    std::uint32_t pid = 0;
-  };
-
-  std::vector<Event> v;
-
-  static bool after(const Event& a, const Event& b) noexcept {
-    return a.ready != b.ready ? a.ready > b.ready : a.pid > b.pid;
-  }
-
-  bool empty() const noexcept { return v.empty(); }
-  const Event& top() const noexcept { return v.front(); }
-  void push(Event e) {
-    v.push_back(e);
-    std::push_heap(v.begin(), v.end(), after);
-  }
-  Event pop() {
-    std::pop_heap(v.begin(), v.end(), after);
-    const Event e = v.back();
-    v.pop_back();
-    return e;
-  }
-  void clear() noexcept { v.clear(); }
-};
-
-}  // namespace detail
-
 /// Grow-only arena for sharded runs: the shared RunScratch plus the
 /// per-shard queues, window buffers, mailboxes and delivery logs.  One
 /// scratch serves any sequence of runs; reuse is allocation-free in the
 /// steady state.  Must not be shared between concurrent runs.
 struct ShardScratch {
-  using Event = detail::EventHeap::Event;
+  using Event = sim::detail::CalendarQueue::Event;
 
   struct Delivery {
     word dst = 0;
@@ -133,7 +98,7 @@ struct ShardScratch {
   /// Cache-line aligned so neighbouring shards' hot fields do not
   /// false-share during the parallel prefix.
   struct alignas(64) PerShard {
-    detail::EventHeap queue;
+    sim::detail::CalendarQueue queue;
     std::vector<Event> window;  ///< this window's local events, (ready, pid) order.
     std::vector<Event> cross;   ///< this window's cross events, (ready, pid) order.
     std::size_t prefix_end = 0; ///< entries of `window` consumed by the prefix.

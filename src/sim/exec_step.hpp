@@ -6,11 +6,13 @@
 // The sharded engine's contract is *bit-identical* simulated times to
 // the single-thread timing path.  The only way to keep that promise
 // under maintenance is for both paths to execute the same instructions:
-// the store-and-forward hop step and the cut-through route step live
-// here, once, templated exactly like the former inline bodies
-// (`kTrace` compiles the event-sink calls out, `kLean` additionally
-// strips the fault-gate branches).  The golden tests in
-// tests/sim/ and tests/shard/ enforce the equality from both sides.
+// the store-and-forward hop step lives here, once, templated exactly
+// like the former inline body (`kTrace` compiles the event-sink calls
+// out, `kLean` additionally strips the fault-gate branches).  The
+// cut-through route step lives beside it but serves only sim::Engine:
+// the sharded engine runs every cut-through program as the
+// single-thread engine's run.  The golden tests in tests/sim/ and
+// tests/shard/ enforce the equality from both sides.
 //
 // Callers differ only in what happens *around* the shared code, which
 // is injected through hooks:
@@ -19,8 +21,8 @@
 //    nothing);
 //  * OnForward(pid, end)  — a store-and-forward packet finished a
 //    non-final hop and must be re-injected at time `end` (serial path:
-//    push into the calendar queue; sharded path: push locally or into a
-//    cross-shard mailbox);
+//    push into the calendar queue; sharded path: push into this shard's
+//    calendar queue or a cross-shard mailbox);
 //  * OnDeliver(dst, end)  — a packet arrived at its destination (serial
 //    path: fold into node_done/phase-end immediately; sharded path:
 //    buffer and fold at the phase barrier — exact, because fp max is
@@ -245,7 +247,8 @@ inline double close_phase(const ExecEnv& env, const CompiledProgram& cp,
 
 /// Cut-through: the whole route is reserved at once and the packet
 /// arrives after route_len * tau + serialise; a cut-through send is one
-/// event, never re-injected.
+/// event, never re-injected.  Single-thread engine only (see the file
+/// comment).
 template <bool kTrace, bool kLean, class OnDeliver>
 inline void step_cut_through(const ExecEnv& env, std::int32_t phase_index,
                              const CompiledSend& s, double ready, std::uint64_t seq,

@@ -24,7 +24,9 @@
 // sequence inside its phase, so ties at equal ready times break on the
 // global injection order, and the pop sequence (hence every simulated
 // time) is bit-identical to the binary heap it replaces.  The golden
-// tests in tests/sim/ enforce that equality.
+// tests in tests/sim/ enforce that equality.  The same queue serves every
+// shard of shard::ShardEngine, which also reads its front with top() to
+// bound a lookahead window.
 #pragma once
 
 #include <algorithm>
@@ -49,10 +51,12 @@ namespace nct::sim::detail {
 /// is one index increment.  Only an out-of-order push marks the bucket
 /// dirty, and the unsorted tail is merged on the next pop from it.
 ///
-/// Monotonicity contract (satisfied by the engine): a push after the
-/// first pop never carries a `ready` below the last popped one, so the
-/// current day only advances.  Reuse contract: begin_phase() may only
-/// be called on an empty queue (clear() after an aborted run).
+/// Monotonicity contract (satisfied by both executors): a push after
+/// the first pop never carries a `ready` below the last popped one.
+/// top() may advance the current day past a later push's day; that push
+/// rewinds the day to its own, so pops stay exactly ordered.  Reuse
+/// contract: begin_phase() may only be called on an empty queue
+/// (clear() after an aborted run).
 class CalendarQueue {
  public:
   struct Event {
@@ -75,7 +79,12 @@ class CalendarQueue {
   std::size_t size() const noexcept { return size_; }
 
   void push(std::uint32_t pid, double ready) {
-    const std::size_t idx = static_cast<std::size_t>(day_of(ready)) & kMask;
+    const std::uint64_t day = day_of(ready);
+    // Only a top() that advanced past this day can leave it behind (the
+    // sharded window drain peeks beyond its window end, then forwards
+    // into it); the monotone plain engine never rewinds.
+    if (day < cur_day_) set_day(day);
+    const std::size_t idx = static_cast<std::size_t>(day) & kMask;
     Bucket& b = buckets_[idx];
     if (!b.events.empty() && before(ready, pid, b.events.back())) b.dirty = true;
     b.events.push_back(Event{ready, pid});
@@ -83,31 +92,26 @@ class CalendarQueue {
     ++size_;
   }
 
+  /// The event with the smallest (ready, pid), left in the queue.  May
+  /// advance the current day past empty ones.  Precondition: !empty().
+  const Event& top() {
+    const Bucket& b = front_bucket();
+    return b.events[b.head];
+  }
+
   /// Remove and return the event with the smallest (ready, pid).
   /// Precondition: !empty().
   Event pop() {
-    for (;;) {
+    Bucket& b = front_bucket();
+    const Event ev = b.events[b.head];
+    if (++b.head == b.events.size()) {
+      b.events.clear();
+      b.head = 0;
       const std::size_t idx = static_cast<std::size_t>(cur_day_) & kMask;
-      Bucket& b = buckets_[idx];
-      if (b.head != b.events.size()) {
-        if (b.dirty) sort_bucket(b);
-        const Event ev = b.events[b.head];
-        // Same-day test without a cast: all live events have
-        // day_of >= cur_day_, so day_of(ev.ready) == cur_day_ iff
-        // ready * inv_width < cur_day_ + 1 (exact: cur_day_ + 1 <= 2^53).
-        if (ev.ready * inv_width_ < next_day_) {
-          if (++b.head == b.events.size()) {
-            b.events.clear();
-            b.head = 0;
-            occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-          }
-          --size_;
-          misses_ = 0;
-          return ev;
-        }
-      }
-      advance_day();
+      occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     }
+    --size_;
+    return ev;
   }
 
   /// Discard residual events (only needed after an aborted run).
@@ -157,6 +161,25 @@ class CalendarQueue {
 
   static bool less(const Event& a, const Event& b) noexcept {
     return a.ready != b.ready ? a.ready < b.ready : a.pid < b.pid;
+  }
+
+  /// The bucket holding the smallest event at its head, advancing the
+  /// current day to it.  Precondition: !empty().
+  Bucket& front_bucket() {
+    for (;;) {
+      Bucket& b = buckets_[static_cast<std::size_t>(cur_day_) & kMask];
+      if (b.head != b.events.size()) {
+        if (b.dirty) sort_bucket(b);
+        // Same-day test without a cast: all live events have
+        // day_of >= cur_day_, so day_of(ready) == cur_day_ iff
+        // ready * inv_width < cur_day_ + 1 (exact: cur_day_ + 1 <= 2^53).
+        if (b.events[b.head].ready * inv_width_ < next_day_) {
+          misses_ = 0;
+          return b;
+        }
+      }
+      advance_day();
+    }
   }
 
   /// Restore ascending order on [head, end).  Reached only after an

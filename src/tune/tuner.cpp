@@ -12,7 +12,6 @@
 #include "core/mixed_encoding.hpp"
 #include "fault/fault.hpp"
 #include "core/router.hpp"
-#include "shard/auto.hpp"
 #include "core/transpose1d.hpp"
 #include "core/transpose2d.hpp"
 #include "sim/batch.hpp"
@@ -198,10 +197,7 @@ TunedPlan Tuner::tune(const cube::PartitionSpec& before,
   eopt.faults = faults;
   const sim::Engine engine(machine_, eopt);
   sim::BatchScratch batch;
-  // Large-machine candidates route through the sharded engine (same
-  // results bit-for-bit — see shard/auto.hpp); small ones batch as
-  // before.
-  shard::run_timing_batch_auto(engine, progs, batch, jobs);
+  engine.run_timing_batch(progs, batch, jobs);
   for (std::size_t k = 0; k < progs.size(); ++k) {
     Measurement& m = results[prog_index[k]];
     const sim::BatchRun& run = batch.runs[k];
@@ -233,15 +229,17 @@ TunedPlan Tuner::tune(const cube::PartitionSpec& before,
   plan.programs_measured = results.size();
   plan.measurements = std::move(results);
 
-  if (options_.cache != nullptr) {
-    CacheEntry entry;
-    entry.choice = plan.choice;
-    entry.predicted_seconds = plan.predicted_seconds;
-    entry.measured_seconds = plan.measured_seconds;
-    entry.algorithm = plan.algorithm;
-    options_.cache->insert(key, std::move(entry));
-  }
+  if (options_.cache != nullptr) options_.cache->insert(key, cache_entry(plan));
   return plan;
+}
+
+CacheEntry cache_entry(const TunedPlan& plan) {
+  CacheEntry entry;
+  entry.choice = plan.choice;
+  entry.predicted_seconds = plan.predicted_seconds;
+  entry.measured_seconds = plan.measured_seconds;
+  entry.algorithm = plan.algorithm;
+  return entry;
 }
 
 TunedPlan tune_transpose(const cube::PartitionSpec& before, const cube::PartitionSpec& after,

@@ -71,6 +71,11 @@ struct TunedPlan {
   std::vector<Measurement> measurements;
 };
 
+/// The plan cache's record of a tuning decision: what Tuner::tune
+/// stores, and what the transpose service publishes after a background
+/// tune.
+CacheEntry cache_entry(const TunedPlan& plan);
+
 class Tuner {
  public:
   explicit Tuner(sim::MachineParams machine, TuneOptions options = {});

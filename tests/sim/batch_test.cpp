@@ -132,6 +132,64 @@ TEST(CalendarQueue, ClearThenReuse) {
   EXPECT_EQ(evs[1].pid, 7u);
 }
 
+TEST(CalendarQueue, PushBelowAPeekedDayPopsFirst) {
+  // A window drain's shape: top() peeks past the window end (advancing
+  // the day), then a forward lands in a day it skipped.
+  CalendarQueue q;
+  q.begin_phase(0.0, 1.0);
+  q.push(0, 0.0);
+  q.push(1, 5.0);
+  EXPECT_EQ(q.pop().pid, 0u);
+  EXPECT_EQ(q.top().pid, 1u);
+  q.push(2, 2.0);
+  EXPECT_EQ(q.top().pid, 2u);
+  const auto evs = drain(q);
+  ASSERT_EQ(evs.size(), 2u);
+  EXPECT_EQ(evs[0].pid, 2u);
+  EXPECT_EQ(evs[1].pid, 1u);
+
+  // Seeded interleavings of top, pop and push (never below the last
+  // popped time), against a sorted reference.  Offsets span same-day
+  // pushes up to several revolutions of the bucket ring.
+  const auto less = [](const CalendarQueue::Event& a, const CalendarQueue::Event& b) {
+    return a.ready != b.ready ? a.ready < b.ready : a.pid < b.pid;
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    std::uint64_t x = seed * 0x9E3779B97F4A7C15ull;
+    const auto draw = [&](std::uint64_t bound) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      return (x >> 33) % bound;
+    };
+    q.begin_phase(0.0, 1.0);
+    std::vector<CalendarQueue::Event> ref;  // kept sorted
+    double last = 0.0;
+    std::uint32_t next_pid = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = draw(8);
+      if (op < 4 || ref.empty()) {
+        const double span = draw(4) == 0 ? 3000.0 : 12.0;
+        const CalendarQueue::Event ev{
+            last + static_cast<double>(draw(1 << 20)) / static_cast<double>(1 << 20) * span,
+            next_pid++};
+        q.push(ev.pid, ev.ready);
+        ref.insert(std::upper_bound(ref.begin(), ref.end(), ev, less), ev);
+      } else if (op < 6) {
+        const CalendarQueue::Event& top = q.top();
+        ASSERT_EQ(top.ready, ref.front().ready) << "seed " << seed << " step " << step;
+        ASSERT_EQ(top.pid, ref.front().pid) << "seed " << seed << " step " << step;
+      } else {
+        const CalendarQueue::Event ev = q.pop();
+        ASSERT_EQ(ev.ready, ref.front().ready) << "seed " << seed << " step " << step;
+        ASSERT_EQ(ev.pid, ref.front().pid) << "seed " << seed << " step " << step;
+        last = ev.ready;
+        ref.erase(ref.begin());
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    q.clear();
+  }
+}
+
 // ---------------------------------------------------------------------
 // split_work
 

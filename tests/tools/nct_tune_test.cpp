@@ -1,39 +1,25 @@
-// Regression tests for the nct_tune CLI's cache tooling: damaged store
-// files must produce a nonzero exit status with a clear diagnostic
-// (version mismatch, truncation, trailing bytes), usage errors exit 2,
-// and the tune command round-trips its cache file.  The binary path is
-// injected by CMake as NCT_TUNE_BIN.
+// Regression tests for the nct_tune CLI: damaged store files must
+// produce a nonzero exit status with a clear diagnostic (version
+// mismatch, truncation, trailing bytes); usage errors, malformed or
+// out-of-range numbers and layouts the figure definitions cannot build
+// exit 2; and the tune command round-trips its cache file.  The binary
+// path is injected by CMake as NCT_TUNE_BIN.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <sys/wait.h>
+#include <utility>
+#include <vector>
 
 #include "tune/cache.hpp"
+#include "tool_run.hpp"
 
 namespace nct {
 namespace {
 
-struct ToolRun {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr interleaved
-};
-
-ToolRun run_tool(const std::string& args) {
-  const std::string cmd = std::string(NCT_TUNE_BIN) + " " + args + " 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << "popen failed for: " << cmd;
-  ToolRun r;
-  if (pipe == nullptr) return r;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) r.output.append(buf, got);
-  const int status = ::pclose(pipe);
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return r;
-}
+ToolRun run_tool(const std::string& args) { return run_binary(NCT_TUNE_BIN, args); }
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "nct_tune_" + name;
@@ -270,6 +256,51 @@ TEST(NctTuneCli, KernelRejectsUnknownKernelName) {
   const auto r = run_tool("kernel --kernel nope --n 2");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("unknown kernel"), std::string::npos) << r.output;
+}
+
+/// Every (args, expected diagnostic) case must exit 2.
+void expect_usage_errors(const std::vector<std::pair<std::string, std::string>>& cases) {
+  for (const auto& [args, expect] : cases) expect_usage_error(NCT_TUNE_BIN, args, expect);
+}
+
+TEST(NctTuneCli, TuneRejectsMalformedNumbers) {
+  const std::string tune = "tune --machine cm --layout 1d ";
+  expect_usage_errors({
+      {tune + "--n x", "--n expects an integer in [0, 20], got 'x'"},
+      {tune + "--n 4x", "got '4x'"},
+      {tune + "--n ''", "got ''"},
+      {tune + "--lg 1e3", "--lg expects"},
+      {tune + "--jobs 2.5", "--jobs expects"},
+      {tune + "--fail-link 3:y", "--fail-link DIM expects"},
+      {tune + "--fail-link z:1", "--fail-link NODE expects"},
+      {"kernel --matrix 12abc", "--matrix expects"},
+      {"cache evict somefile.nct notahash", "KEYHASH expects a hex integer"},
+  });
+}
+
+TEST(NctTuneCli, TuneRejectsOutOfRangeNumbers) {
+  const std::string tune = "tune --machine cm --layout 1d ";
+  expect_usage_errors({
+      {tune + "--lg 70", "--lg expects an integer in [0, 24], got '70'"},
+      {tune + "--n 70", "--n expects"},
+      {tune + "--n -2", "got '-2'"},
+      {tune + "--jobs 100000", "--jobs expects an integer in [0, 256]"},
+      {"kernel --n 12", "kernel needs --n <= 10"},
+      {"kernel --bundle 99999", "--bundle expects"},
+  });
+}
+
+TEST(NctTuneCli, RejectsLayoutsTheFiguresCannotBuild) {
+  expect_usage_errors({
+      {"tune --machine cm --layout 1d --n 4 --lg 4", "1d layout with n=4, lg=4 needs 2n <= lg"},
+      {"tune --machine cm --layout 2d --n 3", "2d layout with n=3, lg=14 needs an even n"},
+      {"tune --machine cm --layout 2d --n 8 --lg 6", "needs n <= lg"},
+      {"tune --layout 3d", "unknown layout '3d'"},
+      {"tune --layout 1d-cyclic", "unknown layout '1d-cyclic'"},
+      {"buffer --n 6 --lg 5", "1d-cyclic layout with n=6, lg=5 needs n <= lg"},
+      {"crossover --lg 8", "1d layout with n=6, lg=8"},
+      {"crossover --topology --lg 5", "2d layout with n=6, lg=5"},
+  });
 }
 
 }  // namespace

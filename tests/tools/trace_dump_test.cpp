@@ -8,32 +8,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <sys/wait.h>
 
 #include "obs/trace.hpp"
+#include "tool_run.hpp"
 
 namespace nct {
 namespace {
 
-struct ToolRun {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr interleaved
-};
-
-/// Runs `trace_dump <args>` and captures exit status plus combined output.
-ToolRun run_tool(const std::string& args) {
-  const std::string cmd = std::string(TRACE_DUMP_BIN) + " " + args + " 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << "popen failed for: " << cmd;
-  ToolRun r;
-  if (pipe == nullptr) return r;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) r.output.append(buf, got);
-  const int status = ::pclose(pipe);
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return r;
-}
+ToolRun run_tool(const std::string& args) { return run_binary(TRACE_DUMP_BIN, args); }
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "trace_dump_" + name;
@@ -112,6 +94,14 @@ TEST(TraceDump, UsageErrorExitsWithStatusTwo) {
   const auto r = run_tool("");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+}
+
+TEST(TraceDump, EventCountMustBeANumber) {
+  const auto path = temp_path("events.bin");
+  ASSERT_TRUE(obs::write_binary_trace_file(healthy_trace(), path));
+  EXPECT_EQ(run_tool(path + " --events 1").exit_code, 0);
+  for (const char* bad : {"1x", "99999999999999999999999"})
+    expect_usage_error(TRACE_DUMP_BIN, path + " --events " + bad, "--events expects an integer");
 }
 
 }  // namespace

@@ -20,11 +20,11 @@
 // appends the serve/* metrics report (the same shape the bench JSON
 // carries).
 //
-// Exit status: 0 ok, 1 serving failure, 2 usage.
+// Exit status: 0 ok, 1 serving failure, 2 usage (incl. a malformed or
+// out-of-range number).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -33,10 +33,17 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "tune/cache.hpp"
+#include "cli_number.hpp"
 
 namespace {
 
 using namespace nct;
+
+// Flag ranges.  A job is a host thread; 2^20-element problems and a
+// 2^24-request queue bound what one invocation can allocate.
+constexpr int kMaxJobs = 256;
+constexpr int kMinLg = 2;
+constexpr int kMaxLg = 20;
 
 int usage() {
   std::fprintf(stderr,
@@ -74,36 +81,30 @@ bool parse(int argc, char** argv, Args& a) {
       return argv[++i];
     };
     const char* v = nullptr;
+    const auto number = [&](const char* flag, auto lo, auto hi, auto& out) {
+      return (v = value(flag)) != nullptr && cli::parse_number("nct_serve", flag, v, lo, hi, out);
+    };
     if (s == "--requests") {
-      if ((v = value("--requests")) == nullptr) return false;
-      a.requests = std::strtoull(v, nullptr, 10);
+      if (!number("--requests", std::uint64_t{1}, std::uint64_t{1} << 40, a.requests))
+        return false;
     } else if (s == "--epochs") {
-      if ((v = value("--epochs")) == nullptr) return false;
-      a.epochs = std::atoi(v);
+      if (!number("--epochs", 1, 1 << 20, a.epochs)) return false;
     } else if (s == "--tenants") {
-      if ((v = value("--tenants")) == nullptr) return false;
-      a.tenants = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!number("--tenants", std::uint32_t{1}, std::uint32_t{1} << 16, a.tenants)) return false;
     } else if (s == "--jobs") {
-      if ((v = value("--jobs")) == nullptr) return false;
-      a.jobs = std::atoi(v);
+      if (!number("--jobs", 0, kMaxJobs, a.jobs)) return false;
     } else if (s == "--tune-jobs") {
-      if ((v = value("--tune-jobs")) == nullptr) return false;
-      a.tune_jobs = std::atoi(v);
+      if (!number("--tune-jobs", 0, kMaxJobs, a.tune_jobs)) return false;
     } else if (s == "--capacity") {
-      if ((v = value("--capacity")) == nullptr) return false;
-      a.capacity = std::strtoull(v, nullptr, 10);
+      if (!number("--capacity", std::size_t{1}, std::size_t{1} << 24, a.capacity)) return false;
     } else if (s == "--tenant-share") {
-      if ((v = value("--tenant-share")) == nullptr) return false;
-      a.tenant_share = std::atof(v);
+      if (!number("--tenant-share", 0.0, 1.0, a.tenant_share)) return false;
     } else if (s == "--lg-min") {
-      if ((v = value("--lg-min")) == nullptr) return false;
-      a.lg_min = std::atoi(v);
+      if (!number("--lg-min", kMinLg, kMaxLg, a.lg_min)) return false;
     } else if (s == "--lg-max") {
-      if ((v = value("--lg-max")) == nullptr) return false;
-      a.lg_max = std::atoi(v);
+      if (!number("--lg-max", kMinLg, kMaxLg, a.lg_max)) return false;
     } else if (s == "--seed") {
-      if ((v = value("--seed")) == nullptr) return false;
-      a.seed = std::strtoull(v, nullptr, 10);
+      if (!number("--seed", std::uint64_t{0}, ~std::uint64_t{0}, a.seed)) return false;
     } else if (s == "--cache") {
       if ((v = value("--cache")) == nullptr) return false;
       a.cache_path = v;
@@ -116,7 +117,11 @@ bool parse(int argc, char** argv, Args& a) {
       return false;
     }
   }
-  return a.epochs >= 1 && a.requests >= 1;
+  if (a.lg_min > a.lg_max) {
+    std::fprintf(stderr, "nct_serve: --lg-min %d exceeds --lg-max %d\n", a.lg_min, a.lg_max);
+    return false;
+  }
+  return true;
 }
 
 double percentile(std::vector<double>& v, double p) {

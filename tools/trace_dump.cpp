@@ -14,7 +14,6 @@
 // Options combine; --check failures set a non-zero exit status so the
 // tool can gate CI jobs on trace conformance.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -24,6 +23,7 @@
 #include "obs/analyze.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "cli_number.hpp"
 
 namespace {
 
@@ -125,8 +125,10 @@ int main(int argc, char** argv) {
       want_critical = true;
     } else if (a == "--events") {
       want_events = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        event_limit = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (i + 1 < argc && argv[i + 1][0] != '-' &&
+          !nct::cli::parse_number("trace_dump", "--events", argv[++i], std::size_t{0},
+                                  ~std::size_t{0}, event_limit))
+        return 2;
     } else if (a == "--check" && i + 1 < argc) {
       checks.emplace_back(argv[++i]);
     } else if (a == "--chrome" && i + 1 < argc) {
