@@ -8,7 +8,9 @@
 // cost-model plans (all misses), later epochs serve background-tuned
 // plans (hit ratio climbs toward 1).  The gated "Serve throughput"
 // table carries one `total` row — requests_per_s (higher-better) and
-// p99_us (lower-better) feed tools/check_bench_regression.py:
+// p99_us (lower-better) feed tools/check_bench_regression.py; its
+// program_hit_ratio column is the share of slots served from the
+// compiled-program cache (see serve/program_cache.hpp):
 //
 //   check_bench_regression.py BENCH_bench_serve.json baseline.json \
 //       --table "Serve throughput" --columns requests_per_s:+ p99_us:-
@@ -143,12 +145,13 @@ void print_series() {
 
   bench::Table total(
       {"workload", "requests", "requests_per_s", "p50_us", "p95_us", "p99_us",
-       "hit_ratio", "batches", "coalesced_max"});
+       "hit_ratio", "program_hit_ratio", "batches", "coalesced_max"});
   total.row({"total", std::to_string(total_served),
              bench::num(total_s > 0 ? static_cast<double>(total_served) / total_s : 0.0, 0),
              bench::us(percentile(all_lat, 0.50)), bench::us(percentile(all_lat, 0.95)),
              bench::us(percentile(all_lat, 0.99)), bench::num(st.hit_ratio(), 3),
-             std::to_string(st.batches), std::to_string(st.coalesced_max)});
+             bench::num(st.program_hit_ratio(), 3), std::to_string(st.batches),
+             std::to_string(st.coalesced_max)});
   total.print("Serve throughput");
 
   bench::recorded_metrics().push_back(

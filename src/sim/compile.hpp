@@ -159,6 +159,23 @@ class CompiledProgram {
   /// width for the calendar event queue.  0 when every cost is zero.
   double event_dt_hint() const noexcept { return event_dt_hint_; }
 
+  /// Heap bytes the program's pools hold: the summed capacity of its
+  /// sends, copies, stages, slot and link pools, active links and
+  /// nodes, and phases with their labels.  The weight of an entry in
+  /// the server's compiled-program cache (serve/program_cache.hpp).
+  std::size_t heap_bytes() const noexcept {
+    std::size_t bytes = phases_.capacity() * sizeof(CompiledPhase) +
+                        sends_.capacity() * sizeof(CompiledSend) +
+                        copies_.capacity() * sizeof(CompiledCopy) +
+                        stages_.capacity() * sizeof(CompiledStage) +
+                        slot_pool_.capacity() * sizeof(slot) +
+                        link_pool_.capacity() * sizeof(std::uint32_t) +
+                        active_links_.capacity() * sizeof(std::uint32_t) +
+                        active_nodes_.capacity() * sizeof(word);
+    for (const CompiledPhase& p : phases_) bytes += p.label.capacity();
+    return bytes;
+  }
+
  private:
   friend CompiledProgram compile(const Program&, const MachineParams&);
 

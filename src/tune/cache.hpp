@@ -8,9 +8,12 @@
 // down to a changed tau or an extra failed wire — misses and retunes.
 //
 // The cache stores the winning *candidate* (a few bytes), not the
-// emitted program: plan construction is deterministic, so a hit rebuilds
-// a bit-identical `sim::Program` without running the simulation engine
-// at all (golden-tested).  In memory the cache is a thread-safe LRU; on
+// emitted program: plan construction is deterministic, so a tuner hit
+// rebuilds a bit-identical `sim::Program` without running the simulation
+// engine at all (golden-tested).  The transpose service keeps the
+// compiled programs themselves in its own byte-bounded cache
+// (serve/program_cache.hpp), so a served hit skips the rebuild as well.
+// In memory the cache is a thread-safe LRU; on
 // disk it is a versioned store of checksummed entries:
 //
 //   magic "NCTPLANC" | u32 version | u64 entry count

@@ -447,6 +447,48 @@ TEST(Compile, ActiveLinksAreTheSortedRouteLinks) {
   expect_active_links_are_route_links(both, cube_m);
 }
 
+/// The bytes every pool of `cp` holds in use (size, not capacity).
+std::size_t pool_bytes_in_use(const CompiledProgram& cp) {
+  std::size_t bytes = cp.phases().size() * sizeof(CompiledPhase) +
+                      cp.send_ops().size() * sizeof(CompiledSend) +
+                      cp.copy_ops().size() * sizeof(CompiledCopy) +
+                      cp.stage_ops().size() * sizeof(CompiledStage) +
+                      cp.slot_pool().size() * sizeof(slot) +
+                      cp.link_pool().size() * sizeof(std::uint32_t) +
+                      cp.active_links().size() * sizeof(std::uint32_t) +
+                      cp.active_nodes().size() * sizeof(word);
+  for (const CompiledPhase& p : cp.phases()) bytes += p.label.size();
+  return bytes;
+}
+
+TEST(Compile, HeapBytesCoversEveryPool) {
+  // Buffered 1D transpose: staging charges besides sends.
+  const cube::MatrixShape s1{3, 3};
+  comm::RearrangeOptions ropt;
+  ropt.policy = comm::BufferPolicy::optimal(139);
+  const auto buffered = compile(
+      core::transpose_1d(cube::PartitionSpec::col_consecutive(s1, 3),
+                         cube::PartitionSpec::col_consecutive(s1.transposed(), 3), 3, ropt),
+      MachineParams::ipsc(3));
+  EXPECT_FALSE(buffered.stage_ops().empty());
+  EXPECT_GE(buffered.heap_bytes(), pool_bytes_in_use(buffered));
+
+  const auto stepwise = [](int n, int lg) {
+    const cube::MatrixShape s{lg, lg};
+    const auto before = cube::PartitionSpec::two_dim_consecutive(s, n / 2, n / 2);
+    const auto after = cube::PartitionSpec::two_dim_consecutive(s.transposed(), n / 2, n / 2);
+    const auto m = MachineParams::ipsc(n);
+    return compile(core::transpose_2d_stepwise(before, after, m), m);
+  };
+  const auto cube4 = stepwise(4, 3);
+  const auto cube6 = stepwise(6, 4);
+  EXPECT_FALSE(cube4.copy_ops().empty());  // the final local rearrangement
+  EXPECT_GE(cube4.heap_bytes(), pool_bytes_in_use(cube4));
+  EXPECT_GE(cube6.heap_bytes(), pool_bytes_in_use(cube6));
+  EXPECT_GT(cube4.heap_bytes(), 0u);
+  EXPECT_GT(cube6.heap_bytes(), cube4.heap_bytes());
+}
+
 TEST(CompileGolden, HypercubeEventStreamIsPinned) {
   // The exact event stream of a 4-node cube transpose under iPSC
   // constants, hard-coded.  The topology generalisation (and anything

@@ -4,6 +4,7 @@
 // CMake as NCT_SERVE_BIN.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "tool_run.hpp"
@@ -23,6 +24,24 @@ TEST(NctServeCli, ServesASmallWorkload) {
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("workload: 64 requests, 2 epochs"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("totals: 64 served"), std::string::npos) << r.output;
+  // The compiled-program cache line: every lookup is a hit or a miss,
+  // and a repeated stream hits.
+  const std::size_t at = r.output.find("programs: ");
+  ASSERT_NE(at, std::string::npos) << r.output;
+  unsigned long long hits = 0, misses = 0, evictions = 0, bytes = 0;
+  double ratio = -1.0;
+  ASSERT_EQ(std::sscanf(r.output.c_str() + at,
+                        "programs: %llu hits / %llu misses, hit ratio %lf, %llu evictions, "
+                        "%llu bytes cached",
+                        &hits, &misses, &ratio, &evictions, &bytes),
+            5)
+      << r.output;
+  EXPECT_GT(hits, 0u) << r.output;
+  EXPECT_GT(misses, 0u) << r.output;
+  EXPECT_NEAR(ratio, static_cast<double>(hits) / static_cast<double>(hits + misses), 5e-4)
+      << r.output;
+  EXPECT_EQ(evictions, 0u) << r.output;
+  EXPECT_GT(bytes, 0u) << r.output;
 }
 
 TEST(NctServeCli, UnknownOptionIsUsageExit2) {

@@ -212,6 +212,10 @@ int main(int argc, char** argv) {
               " batch%s (largest coalesce %" PRIu64 "), hit ratio %.3f\n",
               st.completed, st.cycles, st.cycles == 1 ? "" : "s", st.batches,
               st.batches == 1 ? "" : "es", st.coalesced_max, st.hit_ratio());
+  std::printf("programs: %" PRIu64 " hits / %" PRIu64 " misses, hit ratio %.3f, %" PRIu64
+              " evictions, %" PRIu64 " bytes cached\n",
+              st.program_hits, st.program_misses, st.program_hit_ratio(), st.program_evictions,
+              st.program_bytes);
   std::printf("tunes:  %" PRIu64 " enqueued, %" PRIu64 " completed, %" PRIu64
               " published, %" PRIu64 " failed\n",
               st.tunes_enqueued, st.tunes_completed, st.tunes_published, st.tunes_failed);
