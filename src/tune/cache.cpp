@@ -18,10 +18,7 @@ Bytes encode_entry(const CacheEntry& e) {
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(e.key.size()));
   for (const unsigned char b : e.key) w.u8(b);
-  w.u8(static_cast<std::uint8_t>(e.choice.family));
-  w.u64(e.choice.packet_elements);
-  w.u8(static_cast<std::uint8_t>(e.choice.buffer_mode));
-  w.u64(e.choice.b_copy_elements);
+  serialize(w, e.choice);
   w.f64(e.choice.predicted_seconds);
   w.f64(e.predicted_seconds);
   w.f64(e.measured_seconds);
@@ -35,16 +32,7 @@ CacheEntry decode_entry(const Bytes& payload) {
   const std::uint32_t key_len = r.count(1);
   e.key.reserve(key_len);
   for (std::uint32_t i = 0; i < key_len; ++i) e.key.push_back(r.u8());
-  const std::uint8_t fam = r.u8();
-  if (fam > static_cast<std::uint8_t>(Family::ring))
-    throw SerializeError("bad candidate family");
-  e.choice.family = static_cast<Family>(fam);
-  e.choice.packet_elements = r.u64();
-  const std::uint8_t mode = r.u8();
-  if (mode > static_cast<std::uint8_t>(comm::BufferMode::optimal))
-    throw SerializeError("bad buffer mode");
-  e.choice.buffer_mode = static_cast<comm::BufferMode>(mode);
-  e.choice.b_copy_elements = r.u64();
+  e.choice = deserialize_candidate(r);
   e.choice.predicted_seconds = r.f64();
   e.predicted_seconds = r.f64();
   e.measured_seconds = r.f64();

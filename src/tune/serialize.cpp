@@ -249,4 +249,27 @@ bool equal(const fault::FaultSpec& a, const fault::FaultSpec& b) {
   return wa.bytes() == wb.bytes();
 }
 
+// ---- tune::Candidate -------------------------------------------------
+
+void serialize(ByteWriter& w, const Candidate& c) {
+  w.u8(static_cast<std::uint8_t>(c.family));
+  w.u64(c.packet_elements);
+  w.u8(static_cast<std::uint8_t>(c.buffer_mode));
+  w.u64(c.b_copy_elements);
+}
+
+Candidate deserialize_candidate(ByteReader& r) {
+  Candidate c;
+  const std::uint8_t fam = r.u8();
+  if (fam > static_cast<std::uint8_t>(Family::ring)) throw SerializeError("bad candidate family");
+  c.family = static_cast<Family>(fam);
+  c.packet_elements = r.u64();
+  const std::uint8_t mode = r.u8();
+  if (mode > static_cast<std::uint8_t>(comm::BufferMode::optimal))
+    throw SerializeError("bad buffer mode");
+  c.buffer_mode = static_cast<comm::BufferMode>(mode);
+  c.b_copy_elements = r.u64();
+  return c;
+}
+
 }  // namespace nct::tune

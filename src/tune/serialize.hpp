@@ -4,7 +4,8 @@
 // A tuned decision is only reusable when *everything* that influenced the
 // measurement is identical: the machine parameters, the partition specs
 // before and after the transpose, and the fault scenario the tuning ran
-// under.  Each of those types gets a canonical little-endian byte
+// under.  A tuned choice is stored and keyed by its Candidate identity.
+// Each of those types gets a canonical little-endian byte
 // encoding here (independent of host endianness and padding), plus an
 // FNV-1a content hash over the encoded bytes.  The encoding is versioned
 // at the cache-store level (see cache.hpp); within one version it is
@@ -24,6 +25,7 @@
 #include "cube/partition.hpp"
 #include "fault/fault.hpp"
 #include "sim/model.hpp"
+#include "tune/space.hpp"
 
 namespace nct::tune {
 
@@ -116,5 +118,14 @@ std::uint64_t stable_hash(const fault::FaultSpec& spec);
 /// listing the same faults in different orders hash differently and are
 /// intentionally distinct cache keys).
 bool equal(const fault::FaultSpec& a, const fault::FaultSpec& b);
+
+// ---- tune::Candidate -------------------------------------------------
+
+/// The candidate's identity: the fields Candidate::operator== compares
+/// (family, packet_elements, buffer_mode, b_copy_elements), not its
+/// cost-model prior.
+void serialize(ByteWriter& w, const Candidate& c);
+/// Reads the identity fields back (predicted_seconds stays 0).
+Candidate deserialize_candidate(ByteReader& r);
 
 }  // namespace nct::tune

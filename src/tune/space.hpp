@@ -71,7 +71,9 @@ struct Candidate {
   double predicted_seconds = 0.0;
 
   /// Identity ignores the prior (two enumerations with different machine
-  /// constants can still agree on the candidate itself).
+  /// constants can still agree on the candidate itself).  Keep
+  /// tune::serialize(ByteWriter&, const Candidate&) to the same fields:
+  /// the plan store and the server's program cache key on it.
   friend bool operator==(const Candidate& a, const Candidate& b) noexcept {
     return a.family == b.family && a.packet_elements == b.packet_elements &&
            a.buffer_mode == b.buffer_mode && a.b_copy_elements == b.b_copy_elements;

@@ -187,6 +187,46 @@ TEST(SerializeSpec, FieldCountBeyondTheInputThrows) {
   EXPECT_THROW(deserialize_spec(r), SerializeError);
 }
 
+TEST(SerializeCandidate, RoundTripsTheIdentityNotThePrior) {
+  Candidate c;
+  c.family = Family::ring;
+  c.packet_elements = SIZE_MAX;
+  c.buffer_mode = comm::BufferMode::optimal;
+  c.b_copy_elements = 17;
+  c.predicted_seconds = 3.5;
+  Candidate cheaper = c;
+  cheaper.predicted_seconds = 1.0;
+
+  ByteWriter w, w2;
+  serialize(w, c);
+  serialize(w2, cheaper);
+  EXPECT_EQ(w.bytes(), w2.bytes());  // the prior is not part of the identity
+  ByteReader r(w.bytes());
+  const Candidate back = deserialize_candidate(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_TRUE(back == c);
+  EXPECT_EQ(back.predicted_seconds, 0.0);
+
+  Candidate other = c;
+  other.b_copy_elements = 18;
+  ByteWriter w3;
+  serialize(w3, other);
+  EXPECT_NE(w.bytes(), w3.bytes());
+}
+
+TEST(SerializeCandidate, BadFamilyOrBufferModeThrows) {
+  ByteWriter w;
+  serialize(w, Candidate{});
+  Bytes bad_family = w.bytes();
+  bad_family[0] = 0xff;
+  ByteReader r1(bad_family);
+  EXPECT_THROW(deserialize_candidate(r1), SerializeError);
+  Bytes bad_mode = w.bytes();
+  bad_mode[9] = 0xff;  // after the family byte and the u64 packet size
+  ByteReader r2(bad_mode);
+  EXPECT_THROW(deserialize_candidate(r2), SerializeError);
+}
+
 TEST(ByteReader, CountIsBoundedByTheRemainingInput) {
   ByteWriter w;
   w.u32(2);
