@@ -1,11 +1,13 @@
-// Digests for pinned golden runs: FNV-1a 64 over a trace's binary export
-// and over a final memory image, so a test can hold a whole run's event
-// stream and data placement as two integer literals.
+// Digests for pinned golden runs: FNV-1a 64 over a trace's binary export,
+// over a final memory image and over a planned program, so a test can
+// hold a whole run's event stream, data placement or send list as one
+// integer literal.
 #pragma once
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "sim/program.hpp"
@@ -49,6 +51,65 @@ inline std::uint64_t memory_digest(const sim::Memory& mem) {
     fnv1a64(h, static_cast<std::uint64_t>(local.size()));
     for (const auto v : local) fnv1a64(h, static_cast<std::uint64_t>(v));
   }
+  return h;
+}
+
+/// Hash a string as its length, then its bytes.
+inline void fnv1a64(std::uint64_t& h, const std::string& s) {
+  fnv1a64(h, static_cast<std::uint64_t>(s.size()));
+  fnv1a64(h, s.data(), s.size());
+}
+
+/// Fold a program into `h`: n, local_slots, then every phase's label,
+/// copies, stages and sends (src, route, slots, flags), each list
+/// prefixed by its length.
+inline void fnv1a64(std::uint64_t& h, const sim::Program& prog) {
+  const auto slots = [&h](const auto& s) {
+    fnv1a64(h, static_cast<std::uint64_t>(s.size()));
+    for (const auto v : s) fnv1a64(h, static_cast<std::uint64_t>(v));
+  };
+  const auto copies = [&](const std::vector<sim::CopyOp>& ops) {
+    fnv1a64(h, static_cast<std::uint64_t>(ops.size()));
+    for (const sim::CopyOp& c : ops) {
+      fnv1a64(h, static_cast<std::uint64_t>(c.node));
+      slots(c.src_slots);
+      slots(c.dst_slots);
+      fnv1a64(h, static_cast<std::uint64_t>(c.charged));
+    }
+  };
+  const auto stages = [&h](const std::vector<sim::StageOp>& ops) {
+    fnv1a64(h, static_cast<std::uint64_t>(ops.size()));
+    for (const sim::StageOp& s : ops) {
+      fnv1a64(h, static_cast<std::uint64_t>(s.node));
+      fnv1a64(h, static_cast<std::uint64_t>(s.bytes));
+    }
+  };
+  fnv1a64(h, static_cast<std::uint64_t>(prog.n));
+  fnv1a64(h, static_cast<std::uint64_t>(prog.local_slots));
+  fnv1a64(h, static_cast<std::uint64_t>(prog.phases.size()));
+  for (const sim::Phase& ph : prog.phases) {
+    fnv1a64(h, ph.label);
+    copies(ph.pre_copies);
+    stages(ph.stage);
+    fnv1a64(h, static_cast<std::uint64_t>(ph.sends.size()));
+    for (const sim::SendOp op : ph.sends) {
+      fnv1a64(h, static_cast<std::uint64_t>(op.src));
+      fnv1a64(h, static_cast<std::uint64_t>(op.route.size()));
+      for (const int d : op.route) fnv1a64(h, static_cast<std::uint64_t>(d));
+      slots(op.src_slots);
+      slots(op.dst_slots);
+      fnv1a64(h, static_cast<std::uint64_t>(op.keep_source) |
+                     (static_cast<std::uint64_t>(op.rerouted) << 1));
+    }
+    stages(ph.post_stage);
+    copies(ph.post_copies);
+  }
+}
+
+/// FNV-1a 64 of one program (see fnv1a64(h, const sim::Program&)).
+inline std::uint64_t program_digest(const sim::Program& prog) {
+  std::uint64_t h = kFnvBasis;
+  fnv1a64(h, prog);
   return h;
 }
 
