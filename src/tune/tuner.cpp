@@ -1,5 +1,6 @@
 #include "tune/tuner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <limits>
@@ -35,6 +36,10 @@ int worker_count(int jobs, std::size_t tasks) {
   return jobs < 1 ? 1 : jobs;
 }
 
+/// Families planned by core's pipelined SPT/DPT/MPT planner, which take
+/// Transpose2DOptions::slot_tables.
+bool pipelined(Family f) { return f == Family::spt || f == Family::dpt || f == Family::mpt; }
+
 }  // namespace
 
 Tuner::Tuner(sim::MachineParams machine, TuneOptions options)
@@ -46,6 +51,12 @@ Tuner::Tuner(sim::MachineParams machine, TuneOptions options)
 sim::Program Tuner::build(const cube::PartitionSpec& before,
                           const cube::PartitionSpec& after,
                           const Candidate& candidate) const {
+  return build(before, after, candidate, nullptr);
+}
+
+sim::Program Tuner::build(const cube::PartitionSpec& before,
+                          const cube::PartitionSpec& after, const Candidate& candidate,
+                          const std::vector<sim::slot>* slot_tables) const {
   const fault::FaultModel* faults = fault_model_.empty() ? nullptr : &fault_model_;
   switch (candidate.family) {
     case Family::stepwise: {
@@ -57,18 +68,21 @@ sim::Program Tuner::build(const cube::PartitionSpec& before,
       core::Transpose2DOptions opt;
       opt.packet_elements = candidate.packet_elements;
       opt.faults = faults;
+      opt.slot_tables = slot_tables;
       return core::transpose_spt(before, after, machine_, opt);
     }
     case Family::dpt: {
       core::Transpose2DOptions opt;
       opt.packet_elements = candidate.packet_elements;
       opt.faults = faults;
+      opt.slot_tables = slot_tables;
       return core::transpose_dpt(before, after, machine_, opt);
     }
     case Family::mpt: {
       core::Transpose2DOptions opt;
       opt.packet_elements = candidate.packet_elements;
       opt.faults = faults;
+      opt.slot_tables = slot_tables;
       return core::transpose_mpt(before, after, machine_, opt);
     }
     case Family::direct2d: {
@@ -137,6 +151,14 @@ TunedPlan Tuner::tune(const cube::PartitionSpec& before,
   if (candidates.empty())
     throw std::invalid_argument("tune: no legal candidate family for this spec pair");
 
+  // The pipelined families' destination slot tables depend on the spec
+  // pair only: compute them once for every packet size and the winner.
+  std::vector<sim::slot> slot_tables;
+  const bool any_pipelined = std::any_of(candidates.begin(), candidates.end(),
+                                         [](const Candidate& c) { return pipelined(c.family); });
+  if (any_pipelined) slot_tables = core::destination_tables(before, after);
+  const std::vector<sim::slot>* tables = any_pipelined ? &slot_tables : nullptr;
+
   // Phase 1: build and compile every finalist once, up front, on a
   // worker pool (planning and sim::compile are the expensive part and
   // used to be re-done inside the measurement loop).  Results land at
@@ -157,7 +179,7 @@ TunedPlan Tuner::tune(const cube::PartitionSpec& before,
       Measurement& m = results[i];
       m.candidate = candidates[i];
       try {
-        compiled[i] = sim::compile(build(before, after, candidates[i]), machine_);
+        compiled[i] = sim::compile(build(before, after, candidates[i], tables), machine_);
         buildable[i] = 1;
       } catch (const fault::FaultError&) {
         // This family cannot reach its partners under the fault set;
@@ -223,7 +245,7 @@ TunedPlan Tuner::tune(const cube::PartitionSpec& before,
   plan.choice = results[best].candidate;
   plan.algorithm = std::string(family_name(plan.choice.family)) + " (tuned: " +
                    plan.choice.describe() + ")";
-  plan.program = build(before, after, plan.choice);
+  plan.program = build(before, after, plan.choice, tables);
   plan.measured_seconds = results[best].measured_seconds;
   plan.predicted_seconds = plan.choice.predicted_seconds;
   plan.programs_measured = results.size();

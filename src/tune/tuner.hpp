@@ -95,6 +95,12 @@ class Tuner {
                      const Candidate& candidate) const;
 
  private:
+  /// build() with the spec pair's core::destination_tables for the
+  /// pipelined families (null = each build computes its own).
+  sim::Program build(const cube::PartitionSpec& before, const cube::PartitionSpec& after,
+                     const Candidate& candidate,
+                     const std::vector<sim::slot>* slot_tables) const;
+
   sim::MachineParams machine_;
   TuneOptions options_;
   fault::FaultModel fault_model_;  ///< compiled once; empty when healthy.

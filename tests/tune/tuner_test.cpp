@@ -189,6 +189,33 @@ TEST(TunerCache, HitRebuildsBitIdenticalProgramWithoutMeasuring) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
+TEST(TunerCache, WinnerProgramEqualsAPublicBuildOfItsChoice) {
+  // The search builds its pipelined candidates and the winner with
+  // destination tables shared across the whole search; the public build
+  // computes its own.  The programs must agree, cold and on a cache hit,
+  // healthy and faulted.
+  const SpecPair p = fig_layout_2d(14, 6);
+  const sim::MachineParams m = sim::MachineParams::cm(6);
+  fault::FaultSpec faults;
+  faults.fail_link(1, 0).fail_link(2, 1).fail_link(5, 2);
+  for (const fault::FaultSpec* f : {static_cast<const fault::FaultSpec*>(nullptr),
+                                    static_cast<const fault::FaultSpec*>(&faults)}) {
+    PlanCache cache;
+    TuneOptions opt;
+    opt.cache = &cache;
+    opt.faults = f;
+    const Tuner tuner(m, opt);
+    const TunedPlan cold = tuner.tune(p.first, p.second);
+    EXPECT_TRUE(cold.choice.family == Family::spt || cold.choice.family == Family::dpt ||
+                cold.choice.family == Family::mpt)
+        << cold.choice.describe();
+    EXPECT_TRUE(cold.program == tuner.build(p.first, p.second, cold.choice));
+    const TunedPlan warm = tuner.tune(p.first, p.second);
+    ASSERT_TRUE(warm.from_cache);
+    EXPECT_TRUE(warm.program == tuner.build(p.first, p.second, warm.choice));
+  }
+}
+
 TEST(TunerCache, DifferentProblemsGetDifferentEntries) {
   const sim::MachineParams m = sim::MachineParams::ipsc(4);
   PlanCache cache;
