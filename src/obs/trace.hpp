@@ -149,7 +149,8 @@ class TraceSink {
   void merge_from(const TraceSink& other, double dt) {
     const std::int32_t base = static_cast<std::int32_t>(phase_labels_.size());
     for (const std::string& l : other.phase_labels_) phase_labels_.push_back(l);
-    events_.reserve(events_.size() + other.events_.size());
+    // No exact reserve: a pipeline merges once per stage, and growing
+    // geometrically keeps the whole merge linear.
     for (TraceEvent e : other.events_) {
       e.phase += base;
       e.t0 += dt;
