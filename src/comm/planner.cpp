@@ -175,7 +175,7 @@ void LocationPlanner::parallel_swaps(const std::vector<std::pair<LocBit, LocBit>
       if (order == RouteOrder::descending) std::reverse(route.begin(), route.end());
       bool rerouted = false;
       if (faults_ != nullptr && !faults_->empty() && faults_->route_blocked(x, route)) {
-        auto detour = fault::route_around(n_, x, y, *faults_);
+        auto detour = fault::route_around(*faults_->topology(), x, y, *faults_);
         if (!detour)
           throw fault::FaultError("swap partner unreachable from node " + std::to_string(x));
         route = std::move(*detour);

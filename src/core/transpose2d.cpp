@@ -92,7 +92,8 @@ sim::Program pipelined_transpose(
         }
       }
       if (survivors.empty()) {
-        auto detour = fault::route_around(n, x, cube::tr_node(x, half), *faults);
+        auto detour =
+            fault::route_around(*faults->topology(), x, cube::tr_node(x, half), *faults);
         if (!detour)
           throw fault::FaultError("transpose partner unreachable from node " +
                                   std::to_string(x));

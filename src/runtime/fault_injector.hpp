@@ -1,8 +1,10 @@
 // Transient-fault injection for the thread-backed runtime.
 //
 // The threaded executor has no clock, so time-windowed faults are
-// modelled as per-directed-link refusal countdowns: a link refuses its
-// next `refusals_per_window` send attempts per finite fault window, then
+// modelled as per-directed-link refusal countdowns, indexed by a
+// topo::Topology's link_index (the n-cube is topo::HypercubeTopology,
+// like every other interconnect): a link refuses its next
+// `refusals_per_window` send attempts per finite fault window, then
 // recovers.  Senders retry with exponential backoff (microseconds) up to
 // RetryPolicy::max_retries attempts / `timeout` wall-clock seconds; a
 // packet that exhausts its budget is still delivered — silently dropping
@@ -22,49 +24,18 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "topology/hypercube.hpp"
 #include "topology/topology.hpp"
 
 namespace nct::runtime {
 
 class FaultInjector {
  public:
-  /// Builds countdown tables for an n-cube from the transient faults in
-  /// `spec`.  Throws std::invalid_argument if `spec` contains a permanent
-  /// fault (see the header comment) or a link outside the cube.
-  FaultInjector(int n, const fault::FaultSpec& spec, int refusals_per_window = 3)
-      : n_(n),
-        nodes_(cube::word{1} << n),
-        remaining_(static_cast<std::size_t>(cube::word{1} << n) *
-                   static_cast<std::size_t>(n > 0 ? n : 1)) {
-    if (refusals_per_window < 0)
-      throw std::invalid_argument("refusals_per_window must be non-negative");
-    const auto add = [&](cube::word from, int dim, bool both) {
-      if (dim < 0 || dim >= (n > 0 ? n : 1) || from >= (cube::word{1} << n))
-        throw std::invalid_argument("fault link outside the cube");
-      remaining_[topo::link_index(n, {from, dim})].fetch_add(refusals_per_window,
-                                                            std::memory_order_relaxed);
-      if (both)
-        remaining_[topo::link_index(n, {cube::flip_bit(from, dim), dim})].fetch_add(
-            refusals_per_window, std::memory_order_relaxed);
-    };
-    for (const auto& f : spec.links) {
-      if (f.when.permanent())
-        throw std::invalid_argument(
-            "FaultInjector models transient faults only; plan around permanent ones");
-      add(f.link.from, f.link.dim, f.both_directions);
-    }
-    for (const auto& f : spec.nodes) {
-      if (f.when.permanent())
-        throw std::invalid_argument(
-            "FaultInjector models transient faults only; plan around permanent ones");
-      for (int d = 0; d < n; ++d) add(f.node, d, true);
-    }
-  }
-
-  /// Same, but for an arbitrary topology: `fault link outside the cube`
-  /// becomes any port that is out of range or unwired on `t`, and the
-  /// reverse direction of a link follows the topology's reverse port.
+  /// Builds countdown tables for topology `t` from the transient faults
+  /// in `spec`: link faults name (node, port) pairs of `t`, the reverse
+  /// direction of a link follows the topology's reverse port, and node
+  /// faults cover every wired port.  Throws std::invalid_argument if
+  /// `spec` contains a permanent fault (see the header comment) or a
+  /// port that is out of range or unwired on `t`.
   FaultInjector(const topo::Topology& t, const fault::FaultSpec& spec,
                 int refusals_per_window = 3)
       : n_(t.ports()), nodes_(t.nodes()), remaining_(t.link_slots()) {
@@ -97,6 +68,10 @@ class FaultInjector {
       }
     }
   }
+
+  /// The same on the n-cube (topo::HypercubeTopology(n)).
+  FaultInjector(int n, const fault::FaultSpec& spec, int refusals_per_window = 3)
+      : FaultInjector(topo::HypercubeTopology(n), spec, refusals_per_window) {}
 
   /// Ports per node (== cube dimensions on a cube).
   int dimensions() const noexcept { return n_; }

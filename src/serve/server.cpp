@@ -14,6 +14,7 @@
 #include "kernels/tune.hpp"
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
+#include "topology/topology.hpp"
 #include "tune/serialize.hpp"
 
 namespace nct::serve {
@@ -281,7 +282,9 @@ void Server::serve_cycle(std::vector<Admitted>& items) {
     const fault::FaultSpec* fs = proto.faults.empty() ? nullptr : &proto.faults;
     fault::FaultModel fault_model;
     try {
-      if (fs != nullptr) fault_model = fault::FaultModel(proto.machine.n, *fs);
+      if (fs != nullptr)
+        fault_model = fault::FaultModel(
+            topo::make_topology(proto.machine.topology, proto.machine.n), *fs);
     } catch (const std::exception&) {
       continue;  // malformed fault spec: every slot infeasible
     }

@@ -28,6 +28,12 @@ word checked_product(const std::vector<int>& shape) {
   return total;
 }
 
+/// 2^n, validated before the shift so a bad n never shifts out of range.
+word cube_nodes(int n) {
+  if (n < 0 || n > 62) throw std::invalid_argument("hypercube: n out of range");
+  return word{1} << n;
+}
+
 }  // namespace
 
 word TopologyId::node_count(int n) const {
@@ -115,12 +121,10 @@ int Topology::reverse_port(word from, int port) const noexcept {
   return -1;
 }
 
-std::vector<int> Topology::route(word src, word dst) const {
-  if (src >= nodes() || dst >= nodes())
-    throw std::invalid_argument("topology route: node outside the topology");
-  if (src == dst) return {};
-  // BFS, ports ascending, first visit wins: the same search discipline
-  // as fault::route_around, so routed plans are deterministic.
+std::optional<std::vector<int>> Topology::shortest_route(
+    word src, word dst, const std::function<bool(std::size_t)>& usable) const {
+  if (src >= nodes() || dst >= nodes()) return std::nullopt;
+  if (src == dst) return std::vector<int>{};
   const std::size_t nn = static_cast<std::size_t>(nodes());
   std::vector<int> via(nn, -1);           // port used to first reach each node.
   std::vector<word> parent(nn, kNoNode);  // node we reached it from.
@@ -133,6 +137,7 @@ std::vector<int> Topology::route(word src, word dst) const {
     for (int p = 0; p < ports(); ++p) {
       const word next = neighbor(at, p);
       if (next == kNoNode || via[static_cast<std::size_t>(next)] >= 0) continue;
+      if (!usable(link_index(at, p))) continue;
       via[static_cast<std::size_t>(next)] = p;
       parent[static_cast<std::size_t>(next)] = at;
       if (next == dst) {
@@ -148,8 +153,17 @@ std::vector<int> Topology::route(word src, word dst) const {
       frontier.push(next);
     }
   }
-  throw std::runtime_error("topology route: " + std::to_string(dst) +
-                           " unreachable from " + std::to_string(src) + " on " + name());
+  return std::nullopt;
+}
+
+std::vector<int> Topology::route(word src, word dst) const {
+  if (src >= nodes() || dst >= nodes())
+    throw std::invalid_argument("topology route: node outside the topology");
+  auto path = shortest_route(src, dst, [](std::size_t) { return true; });
+  if (!path)
+    throw std::runtime_error("topology route: " + std::to_string(dst) +
+                             " unreachable from " + std::to_string(src) + " on " + name());
+  return std::move(*path);
 }
 
 int Topology::distance(word src, word dst) const {
@@ -175,9 +189,7 @@ int Topology::diameter() const {
 }
 
 HypercubeTopology::HypercubeTopology(int n)
-    : Topology(TopologyId{}, word{1} << n, n, n) {
-  if (n < 0 || n > 62) throw std::invalid_argument("hypercube: n out of range");
-}
+    : Topology(TopologyId{}, cube_nodes(n), n, n) {}
 
 TorusTopology::TorusTopology(std::vector<int> shape, bool wrap)
     : Topology(wrap ? torus_id(shape) : mesh_id(shape), checked_product(shape),

@@ -19,11 +19,15 @@
 //     every existing hypercube artifact is numerically unchanged);
 //   * route(src, dst) is the deterministic BFS shortest path expanding
 //     ports in ascending order with first-visit-wins, so plans built on
-//     any topology are reproducible across runs and hosts.
+//     any topology are reproducible across runs and hosts; the
+//     fault-avoiding fault::route_around is the same search
+//     (shortest_route) with permanently-down links filtered out.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,9 +117,17 @@ class Topology {
   /// ports.
   int reverse_port(word from, int port) const noexcept;
 
-  /// Deterministic BFS shortest path src -> dst as a port sequence
-  /// (ports expanded in ascending order, first visit wins).  Empty for
-  /// src == dst; throws std::runtime_error if dst is unreachable.
+  /// The one route search: BFS from src over the wired links whose
+  /// link_index `usable` accepts, ports expanded in ascending order,
+  /// first visit wins, so the shortest route it returns is
+  /// deterministic.  Empty for src == dst; nullopt when dst is
+  /// unreachable or either node is outside the topology.
+  std::optional<std::vector<int>> shortest_route(
+      word src, word dst, const std::function<bool(std::size_t)>& usable) const;
+
+  /// shortest_route over every link.  Throws std::invalid_argument for
+  /// nodes outside the topology and std::runtime_error if dst is
+  /// unreachable.
   std::vector<int> route(word src, word dst) const;
 
   /// Hop count of route(src, dst); -1 if unreachable.
@@ -140,9 +152,9 @@ class Topology {
   int n_;
 };
 
-/// Boolean n-cube: ports() == n, neighbor == flip_bit, so link indices,
-/// table sizes and routes are numerically identical to the pre-interface
-/// code paths.
+/// Boolean n-cube (Definition 5): ports() == n, neighbor == flip_bit,
+/// link_index == topo::link_index(n, {from, dim}).  Throws
+/// std::invalid_argument unless 0 <= n <= 62.
 class HypercubeTopology final : public Topology {
  public:
   explicit HypercubeTopology(int n);

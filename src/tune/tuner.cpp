@@ -45,7 +45,8 @@ bool pipelined(Family f) { return f == Family::spt || f == Family::dpt || f == F
 Tuner::Tuner(sim::MachineParams machine, TuneOptions options)
     : machine_(std::move(machine)), options_(std::move(options)) {
   if (options_.faults != nullptr && !options_.faults->empty())
-    fault_model_ = fault::FaultModel(machine_.n, *options_.faults);
+    fault_model_ = fault::FaultModel(topo::make_topology(machine_.topology, machine_.n),
+                                     *options_.faults);
 }
 
 sim::Program Tuner::build(const cube::PartitionSpec& before,

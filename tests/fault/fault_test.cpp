@@ -10,6 +10,7 @@
 #include "runtime/fault_injector.hpp"
 #include "sim/program.hpp"
 #include "topology/hypercube.hpp"
+#include "topology/topology.hpp"
 
 namespace nct::fault {
 namespace {
@@ -136,16 +137,17 @@ TEST(FaultModel, RouteBlockedChecksEveryHopFromTheSource) {
 
 TEST(RouteAround, HealthyCubeYieldsAscendingShortestRoute) {
   const FaultModel healthy;
-  const auto r = route_around(3, 0, 6, healthy);
+  const topo::HypercubeTopology cube(3);
+  const auto r = route_around(cube, 0, 6, healthy);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, (std::vector<int>{1, 2}));
-  EXPECT_EQ(route_around(3, 5, 5, healthy), std::vector<int>{});
+  EXPECT_EQ(route_around(cube, 5, 5, healthy), std::vector<int>{});
 }
 
 TEST(RouteAround, DetoursAroundACutAtTwoExtraHops) {
   const int n = 3;
   const FaultModel fm(n, FaultSpec{}.fail_link(0, 0));
-  const auto r = route_around(n, 0, 1, fm);
+  const auto r = route_around(*fm.topology(), 0, 1, fm);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->size(), 3u);  // Hamming distance 1, shortest surviving route 3
   word at = 0;
@@ -159,19 +161,19 @@ TEST(RouteAround, DetoursAroundACutAtTwoExtraHops) {
 TEST(RouteAround, DisconnectedDestinationReturnsNullopt) {
   // In a 1-cube the single wire is the only connection.
   const FaultModel fm(1, FaultSpec{}.fail_link(0, 0));
-  EXPECT_FALSE(route_around(1, 0, 1, fm).has_value());
+  EXPECT_FALSE(route_around(*fm.topology(), 0, 1, fm).has_value());
 
   // An isolated (fully node-faulted) destination in a 3-cube.
   const FaultModel iso(3, FaultSpec{}.fail_node(7));
-  EXPECT_FALSE(route_around(3, 0, 7, iso).has_value());
-  EXPECT_TRUE(route_around(3, 0, 6, iso).has_value());
+  EXPECT_FALSE(route_around(*iso.topology(), 0, 7, iso).has_value());
+  EXPECT_TRUE(route_around(*iso.topology(), 0, 6, iso).has_value());
 }
 
 TEST(RouteAround, TransientFaultsDoNotForceDetours) {
   // Only permanent faults block planning; transient ones are the
   // engine's retry problem.
   const FaultModel fm(3, FaultSpec{}.fail_link(0, 0, {0.0, 100.0}));
-  const auto r = route_around(3, 0, 1, fm);
+  const auto r = route_around(*fm.topology(), 0, 1, fm);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, std::vector<int>{0});
 }
