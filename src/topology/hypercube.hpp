@@ -1,13 +1,11 @@
-// The Boolean n-cube graph (Definition 5): 2^n nodes, node x adjacent to
-// x with any single bit complemented.  Provides neighbours, distances,
-// link enumeration and the multi-path structure used by the transpose
-// algorithms (between nodes x, y there are Hamming(x,y) vertex-disjoint
-// paths of length Hamming(x,y) and n - Hamming(x,y) of length
-// Hamming(x,y) + 2).
+// Directed links of the Boolean n-cube (Definition 5): 2^n nodes, node x
+// adjacent to x with any single bit complemented.  A link is named by its
+// source node and the dimension it crosses; link_index is the dense
+// directed-link numbering that fault tables, traces and the runtime
+// share (topo::HypercubeTopology::link_index numbers links the same way).
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "cube/bits.hpp"
 
@@ -30,41 +28,5 @@ constexpr std::size_t link_index(int n, DirectedLink l) noexcept {
   return static_cast<std::size_t>(l.from) * static_cast<std::size_t>(n) +
          static_cast<std::size_t>(l.dim);
 }
-
-class Hypercube {
- public:
-  explicit Hypercube(int n);
-
-  int dimensions() const noexcept { return n_; }
-  word nodes() const noexcept { return word{1} << n_; }
-  std::size_t directed_links() const noexcept {
-    return static_cast<std::size_t>(nodes()) * static_cast<std::size_t>(n_);
-  }
-
-  /// Neighbour of x across dimension d.
-  word neighbor(word x, int d) const noexcept { return cube::flip_bit(x, d); }
-
-  /// All n neighbours of x.
-  std::vector<word> neighbors(word x) const;
-
-  /// Hamming distance between nodes.
-  int distance(word x, word y) const noexcept { return cube::hamming(x, y); }
-
-  int diameter() const noexcept { return n_; }
-
-  /// Number of undirected links, n * 2^n / 2.
-  std::size_t undirected_links() const noexcept { return directed_links() / 2; }
-
-  /// The shortest path from x to y complementing differing bits in
-  /// ascending dimension order (one of the Hamming(x,y)! minimal paths).
-  std::vector<word> ascending_path(word x, word y) const;
-
-  /// Apply a route (sequence of dimensions) starting at x; returns the
-  /// node sequence including x.
-  std::vector<word> walk(word x, const std::vector<int>& dims) const;
-
- private:
-  int n_;
-};
 
 }  // namespace nct::topo

@@ -1,7 +1,8 @@
 // Structural invariants of the pluggable Topology implementations:
 // wiring symmetry, dense link indexing, deterministic BFS routing, and
 // the signature (stable_hash / TopologyId) contract that keys plan
-// caches and trace headers.
+// caches and trace headers; plus the cube's DirectedLink and its
+// ascending-order BFS route.
 #include "topology/topology.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 
 #include "cube/bits.hpp"
+#include "topology/hypercube.hpp"
 
 namespace nct::topo {
 namespace {
@@ -88,10 +90,27 @@ TEST(Topology, HypercubeMatchesFlipBitAndHistoricalLinkIndexing) {
     for (int d = 0; d < 4; ++d) {
       EXPECT_EQ(t->neighbor(x, d), cube::flip_bit(x, d));
       EXPECT_EQ(t->link_index(x, d), static_cast<std::size_t>(x) * 4 + d);
+      EXPECT_EQ(t->link_index(x, d), link_index(4, DirectedLink{x, d}));
       EXPECT_EQ(t->reverse_port(x, d), d);  // cube wires are dimension-symmetric
     }
   }
   EXPECT_EQ(t->link_slots(), 64u);
+}
+
+TEST(Hypercube, DirectedLinkTo) {
+  EXPECT_EQ((DirectedLink{0b0101, 1}).to(), 0b0111U);
+  EXPECT_EQ((DirectedLink{0b0101, 0}).to(), 0b0100U);
+}
+
+TEST(Hypercube, AscendingPathIsShortest) {
+  // On the cube the BFS route complements the differing bits in
+  // ascending dimension order: one of the Hamming(x,y)! minimal paths.
+  const auto t = make_topology(TopologyId{}, 6);
+  for (word x = 0; x < t->nodes(); x += 5) {
+    for (word y = 0; y < t->nodes(); y += 7) {
+      EXPECT_EQ(t->route(x, y), cube::bit_positions(x ^ y)) << x << " -> " << y;
+    }
+  }
 }
 
 TEST(Topology, NeighborSymmetryOnEveryTopology) {
