@@ -3,7 +3,6 @@
 // expected distributions, plus engine-level conservation invariants.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <numeric>
 #include <random>
 #include <set>
@@ -17,6 +16,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/engine.hpp"
+#include "support/fuzz.hpp"
 
 namespace nct {
 namespace {
@@ -206,48 +206,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzConversions, ::testing::Values(1, 2, 3, 4, 5
 // the seed is embedded in every assertion message so a failure is
 // reproducible with `NCT_FUZZ_SEED=<seed> ctest -R FaultRobustness`.
 
-unsigned fuzz_seed() {
-  if (const char* s = std::getenv("NCT_FUZZ_SEED"))
-    return static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  return 20260806u;
-}
-
-/// A random all-transient fault spec: short outage windows and degrade
-/// factors on random directed links.  Never permanent, so every program
-/// must still complete with the right data.
-fault::FaultSpec random_transient_spec(std::mt19937& rng, int n, double horizon) {
-  std::uniform_int_distribution<word> node(0, (word{1} << n) - 1);
-  std::uniform_int_distribution<int> dim(0, n - 1);
-  std::uniform_real_distribution<double> at(0.0, horizon);
-  std::uniform_real_distribution<double> len(horizon / 100.0, horizon / 4.0);
-  std::uniform_real_distribution<double> factor(1.0, 4.0);
-  std::uniform_int_distribution<int> kind(0, 2);
-  const int entries = std::uniform_int_distribution<int>(1, 4)(rng);
-  fault::FaultSpec spec;
-  for (int i = 0; i < entries; ++i) {
-    const word x = node(rng);
-    const int d = dim(rng);
-    switch (kind(rng)) {
-      case 0: {
-        const double from = at(rng);
-        spec.fail_link(x, d, {from, from + len(rng)});
-        break;
-      }
-      case 1: {
-        const double from = at(rng);
-        spec.fail_node(x, {from, from + len(rng)});
-        break;
-      }
-      default:
-        spec.degrade_link(x, d, factor(rng));
-        break;
-    }
-  }
-  return spec;
-}
+/// Used when NCT_FUZZ_SEED is unset.
+constexpr unsigned kFuzzSeed = 20260806u;
 
 TEST(FaultRobustness, RandomTransientFaultsDelayButNeverChangeData) {
-  const unsigned seed = fuzz_seed();
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed);
   std::mt19937 rng(seed);
   const int n = 4, half = 2;
   const MatrixShape s{3, 3};
@@ -260,8 +223,10 @@ TEST(FaultRobustness, RandomTransientFaultsDelayButNeverChangeData) {
     const auto prog = planners[trial % 3](before, after, m, {});
     const auto init = core::transpose_initial_memory(before, n, prog.local_slots);
     const auto healthy = sim::Engine(m).run(prog, init);
-    const fault::FaultModel fm(n,
-                               random_transient_spec(rng, n, healthy.total_time * 2));
+    const fault::FaultModel fm(
+        n, fuzz::random_transient_spec(
+               rng, n, healthy.total_time * 2, 4,
+               {fuzz::Outage::link, fuzz::Outage::node, fuzz::Outage::degrade}));
     sim::EngineOptions opt;
     opt.faults = &fm;
     const auto res = sim::Engine(m, opt).run(prog, init);
@@ -276,7 +241,7 @@ TEST(FaultRobustness, RandomPermanentCutsRerouteAndDeliver) {
   // Up to n-1 permanently cut wires keep the cube connected (edge
   // connectivity n), so the failure-aware planners must always find
   // working routes and land the exact transposed distribution.
-  const unsigned seed = fuzz_seed();
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed);
   std::mt19937 rng(seed + 1);
   const int n = 4, half = 2;
   const MatrixShape s{3, 3};
@@ -314,7 +279,7 @@ TEST(FaultRobustness, ThreadsMaskTransientFaultsAndMatchTheSimulator) {
   // Real threads under transient link refusals: retry with backoff until
   // the refusal budget drains, then the memory image must still match a
   // healthy simulator run exactly.
-  const unsigned seed = fuzz_seed();
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed);
   std::mt19937 rng(seed + 2);
   const int n = 3;
   const MatrixShape s{3, 3};

@@ -2,13 +2,13 @@
 // topologies, path agreement, and seeded fuzzing.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <string>
 
 #include "kernels/boolmm.hpp"
 #include "kernels/tune.hpp"
 #include "sim/engine.hpp"
+#include "support/fuzz.hpp"
 
 namespace nct::kernels {
 namespace {
@@ -84,14 +84,8 @@ TEST(Boolmm, TunedScatterStillVerifies) {
   EXPECT_EQ(kernel.result(), kernel.reference());
 }
 
-unsigned fuzz_seed() {
-  if (const char* s = std::getenv("NCT_FUZZ_SEED"))
-    return static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  return 20260808u;
-}
-
 TEST(BoolmmFuzz, RandomDensitiesAndMachinesVerifyEndToEnd) {
-  const unsigned seed = fuzz_seed();
+  const unsigned seed = fuzz::fuzz_seed(20260808u);
   std::mt19937 rng(seed);
   for (int trial = 0; trial < 8; ++trial) {
     const bool cube = rng() % 2 == 0;

@@ -11,6 +11,7 @@
 #include "kernels/matmul.hpp"
 #include "kernels/tune.hpp"
 #include "sim/engine.hpp"
+#include "support/fuzz.hpp"
 
 namespace nct::kernels {
 namespace {
@@ -122,14 +123,8 @@ TEST(Hsmm, TunedCompositionBeatsNaiveAndStillVerifies) {
   }
 }
 
-unsigned fuzz_seed() {
-  if (const char* s = std::getenv("NCT_FUZZ_SEED"))
-    return static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  return 20260808u;
-}
-
 TEST(HsmmFuzz, RandomShapesBundlesAndTopologiesVerifyEndToEnd) {
-  const unsigned seed = fuzz_seed();
+  const unsigned seed = fuzz::fuzz_seed(20260808u);
   std::mt19937 rng(seed);
   for (int trial = 0; trial < 12; ++trial) {
     sim::MachineParams machine;

@@ -9,7 +9,6 @@
 // `NCT_FUZZ_SEED=<seed> ctest -R ServeDeterminism`.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,16 +18,14 @@
 #include "serve/workload.hpp"
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
+#include "support/fuzz.hpp"
 #include "tune/tuner.hpp"
 
 namespace nct::serve {
 namespace {
 
-unsigned fuzz_seed() {
-  if (const char* s = std::getenv("NCT_FUZZ_SEED"))
-    return static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  return 20260806u;
-}
+/// The sweeps' seed unless NCT_FUZZ_SEED overrides it.
+constexpr unsigned kFuzzSeed = 20260806u;
 
 struct RunConfig {
   int jobs = 1;
@@ -103,7 +100,7 @@ void expect_identical(const std::vector<Response>& a, const std::vector<Response
 }
 
 TEST(ServeDeterminism, ResponsesIdenticalAcrossWorkerCounts) {
-  const unsigned seed = fuzz_seed();
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed);
   const std::vector<Response> serial =
       run_stream(RunConfig{1, 1, 0, 4096}, seed, 400, 3);
   const std::vector<Response> parallel =
@@ -115,7 +112,7 @@ TEST(ServeDeterminism, ResponsesIdenticalAcrossCyclePartitioning) {
   // A tiny max_cycle forces many small serving cycles (different
   // coalescing and different resolve interleaving with tune completion);
   // a tiny queue forces backpressure.  Same responses regardless.
-  const unsigned seed = fuzz_seed() + 1;
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed) + 1;
   const std::vector<Response> big =
       run_stream(RunConfig{2, 1, 0, 4096}, seed, 300, 2);
   const std::vector<Response> small =
@@ -128,7 +125,7 @@ TEST(ServeDeterminism, CachedProgramsMatchStandaloneEngine) {
   // problems repeat across cycles and epochs, so most slots run a cached
   // program, every served time equals compiling and running the served
   // plan outside the server, under the request's faults.
-  const unsigned seed = fuzz_seed() + 2;
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed) + 2;
   std::vector<Request> sent;
   ServerStats stats;
   const std::vector<Response> out =
@@ -158,7 +155,7 @@ TEST(ServeDeterminism, CachedProgramsMatchStandaloneEngine) {
 }
 
 TEST(ServeDeterminism, FuzzRandomSeedsStayDeterministic) {
-  const unsigned seed = fuzz_seed();
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed);
   for (int trial = 0; trial < 3; ++trial) {
     const std::uint64_t stream_seed = static_cast<std::uint64_t>(seed) * 31 + trial;
     const std::vector<Response> a =

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "shard/engine.hpp"
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
+#include "support/fuzz.hpp"
 #include "topology/partition.hpp"
 #include "topology/routed.hpp"
 #include "topology/topology.hpp"
@@ -27,11 +27,8 @@ using cube::MatrixShape;
 using cube::PartitionSpec;
 using cube::word;
 
-unsigned fuzz_seed() {
-  if (const char* s = std::getenv("NCT_FUZZ_SEED"))
-    return static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  return 20260808u;
-}
+/// The sweeps' seed unless NCT_FUZZ_SEED overrides it.
+constexpr unsigned kFuzzSeed = 20260808u;
 
 sim::MachineParams random_machine(std::mt19937& rng, int n) {
   sim::MachineParams m = sim::MachineParams::nport(
@@ -45,28 +42,6 @@ sim::MachineParams random_machine(std::mt19937& rng, int n) {
     m.switching = sim::Switching::cut_through;
   if (std::uniform_int_distribution<int>(0, 3)(rng) == 0) m.max_packet_bytes = 16;
   return m;
-}
-
-/// Random all-transient fault spec (never permanent: runs must finish).
-fault::FaultSpec random_transient_spec(std::mt19937& rng, int n, double horizon) {
-  std::uniform_int_distribution<word> node(0, (word{1} << n) - 1);
-  std::uniform_int_distribution<int> dim(0, n - 1);
-  std::uniform_real_distribution<double> at(0.0, horizon);
-  std::uniform_real_distribution<double> len(horizon / 100.0, horizon / 4.0);
-  std::uniform_real_distribution<double> factor(1.0, 4.0);
-  const int entries = std::uniform_int_distribution<int>(1, 3)(rng);
-  fault::FaultSpec spec;
-  for (int i = 0; i < entries; ++i) {
-    const word x = node(rng);
-    const int d = dim(rng);
-    if (std::uniform_int_distribution<int>(0, 1)(rng)) {
-      const double t0 = at(rng);
-      spec.fail_link(x, d, fault::Window{t0, t0 + len(rng)});
-    } else {
-      spec.degrade_link(x, d, factor(rng));
-    }
-  }
-  return spec;
 }
 
 void expect_exact(const sim::RunResult& a, const sim::RunResult& b,
@@ -84,7 +59,7 @@ void expect_exact(const sim::RunResult& a, const sim::RunResult& b,
 }
 
 TEST(ShardFuzz, RandomTransposesInvariantAcrossShardCounts) {
-  const unsigned seed = fuzz_seed();
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed);
   std::mt19937 rng(seed);
   for (int trial = 0; trial < 12; ++trial) {
     const int n = std::uniform_int_distribution<int>(2, 6)(rng);
@@ -112,7 +87,7 @@ TEST(ShardFuzz, RandomTransposesInvariantAcrossShardCounts) {
 }
 
 TEST(ShardFuzz, RandomFaultedRunsInvariant) {
-  const unsigned seed = fuzz_seed() + 7;
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed) + 7;
   std::mt19937 rng(seed);
   for (int trial = 0; trial < 8; ++trial) {
     const int n = std::uniform_int_distribution<int>(3, 5)(rng);
@@ -127,7 +102,8 @@ TEST(ShardFuzz, RandomFaultedRunsInvariant) {
 
     const auto healthy = sim::Engine(m).run_timing(compiled);
     const fault::FaultModel model(
-        n, random_transient_spec(rng, n, std::max(1.0, healthy.total_time)));
+        n, fuzz::random_transient_spec(rng, n, std::max(1.0, healthy.total_time), 3,
+                                   {fuzz::Outage::degrade, fuzz::Outage::link}));
     sim::EngineOptions opts;
     opts.faults = &model;
     const auto serial = sim::Engine(m, opts).run_timing(compiled);
@@ -146,7 +122,7 @@ TEST(ShardFuzz, RandomFaultedRunsInvariant) {
 }
 
 TEST(ShardFuzz, RandomRoutedPermutationsInvariant) {
-  const unsigned seed = fuzz_seed() + 31;
+  const unsigned seed = fuzz::fuzz_seed(kFuzzSeed) + 31;
   std::mt19937 rng(seed);
   const topo::TopologyId ids[] = {topo::torus_id({4, 4}), topo::mesh_id({3, 5}),
                                   topo::dragonfly_id(3, 2)};
