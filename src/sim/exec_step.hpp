@@ -96,8 +96,8 @@ inline ExecEnv begin_run(const MachineParams& params, const EngineOptions& optio
   if constexpr (kTrace) sink->begin_run_topology(cp.nodes(), ports);
 
   const bool faulted = options.faults && !options.faults->empty();
-  if (faulted && (options.faults->dimensions() != ports ||
-                  options.faults->topology_id() != params.topology))
+  if (faulted && (options.faults->topology()->ports() != ports ||
+                  options.faults->topology()->id() != params.topology))
     throw ProgramError("fault model / machine dimension mismatch");
   gate = FaultGate{faulted ? options.faults : nullptr, options.retry, kTrace ? sink : nullptr,
                    ports, &cp.topology(), 0, 0.0};
