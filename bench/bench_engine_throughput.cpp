@@ -15,8 +15,10 @@
 // The execution cases report packets/s (router packets traversing their
 // full route per wall-clock second).  A second table reports the
 // tuner's cold-search latency (no cache; build + compile + batched
-// timing measurement of the whole candidate space).  Run with --json to
-// record the series tables into BENCH_<binary>.json.
+// timing measurement of the whole candidate space).  Every cell is the
+// median of five samples, each repeating its call for at least 20 ms
+// (see stage_seconds).  Run with --json to record the series tables
+// into BENCH_<binary>.json.
 #include <algorithm>
 #include <chrono>
 
@@ -180,16 +182,26 @@ void BM_TimingBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TimingBatch)->DenseRange(0, kWorkloads - 1);
 
-/// One-shot stage timings for the series table (median of `reps` runs).
+/// Wall seconds per call of `fn` for the series table.  One timing run
+/// of the small workloads lasts 20-50 us, too short to time alone on a
+/// shared host, so each sample repeats the call until it has run for
+/// at least 20 ms and records the mean per call; the result is the
+/// median of `samples` such samples.
 template <class Fn>
-double stage_seconds(Fn fn, int reps = 5) {
+double stage_seconds(Fn fn, int samples = 5) {
+  constexpr double kMinSampleSeconds = 0.02;
   std::vector<double> ts;
-  ts.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
+  ts.reserve(static_cast<std::size_t>(samples));
+  for (int r = 0; r < samples; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    ts.push_back(std::chrono::duration<double>(t1 - t0).count());
+    double elapsed = 0.0;
+    int calls = 0;
+    do {
+      fn();
+      ++calls;
+      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    } while (elapsed < kMinSampleSeconds);
+    ts.push_back(elapsed / calls);
   }
   std::sort(ts.begin(), ts.end());
   return ts[ts.size() / 2];

@@ -13,7 +13,10 @@
 //     check_bench_regression.py --columns packets_per_s:+): the
 //     shards=1 rows only.  CI runners have a single core, so the
 //     multi-shard rows measure thread oversubscription, not speedup;
-//     gating them would institutionalise noise.
+//     gating them would institutionalise noise.  Its compiled_mb
+//     (CompiledProgram::heap_bytes()) and scratch_mb (the ShardScratch's
+//     heap_bytes() after every shard count has run on it) columns are
+//     deterministic and gated on their own, at a tight tolerance.
 //   * "Shard scaling detail": every shard count with the window /
 //     parallel-share / imbalance stats, so the scaling shape is
 //     recorded even where it is not gated.
@@ -90,7 +93,7 @@ double wall() {
 
 void print_series() {
   bench::Table gate({"workload", "packets", "plan_ms", "compile_ms", "run_ms",
-                     "packets_per_s"});
+                     "packets_per_s", "compiled_mb", "scratch_mb"});
   bench::Table detail({"row", "shards", "windows", "parallel_share",
                        "imbalance", "run_ms", "packets_per_s"});
 
@@ -128,9 +131,12 @@ void print_series() {
                   bench::num(stats.imbalance(), 3), bench::ms(elapsed),
                   bench::num(static_cast<double>(packets) / elapsed, 0)});
     }
+    constexpr double kMiB = 1024.0 * 1024.0;
     gate.row({w.name, std::to_string(packets), bench::ms(t1 - t0),
               bench::ms(t2 - t1), bench::ms(serial_run),
-              bench::num(static_cast<double>(packets) / serial_run, 0)});
+              bench::num(static_cast<double>(packets) / serial_run, 0),
+              bench::num(static_cast<double>(compiled.heap_bytes()) / kMiB, 2),
+              bench::num(static_cast<double>(scratch.heap_bytes()) / kMiB, 2)});
   }
 
   gate.print("Sharded engine throughput: 20-cube transpose end-to-end");

@@ -75,7 +75,7 @@ sim::Program route_flat(int n, std::vector<word> model, word capacity,
         for (const int d : dims) {
           if (cube::get_bit(cur, d) != cube::get_bit(y, d)) cur = cube::flip_bit(cur, d);
         }
-        if (cur != x) moves.push_back({x, s, cur, e});
+        if (cur != x) moves.push_back({x, static_cast<sim::slot>(s), cur, e});
       }
     }
     if (moves.empty()) continue;
@@ -195,6 +195,12 @@ sim::Program route_elements(int n, std::vector<word> image, word slots,
                             const RouterOptions& options, const std::string& label_prefix) {
   const word nnodes = word{1} << n;
   if (image.size() != nnodes * slots) throw std::invalid_argument("initial image size mismatch");
+  // Slots are 32-bit (sim::slot): a capacity past 2^32 would truncate
+  // every slot index above it, so it is refused before anything is
+  // allocated (the product is checked by division, so it cannot wrap).
+  constexpr word kMaxCapacity = word{1} << 32;
+  if (options.slot_headroom_factor != 0 && slots > kMaxCapacity / options.slot_headroom_factor)
+    throw std::invalid_argument("route_elements: slot capacity exceeds 2^32 slots");
   const word capacity = slots * options.slot_headroom_factor;
   if (capacity == slots)
     return route_flat(n, std::move(image), capacity, dest, schedule, options, label_prefix);

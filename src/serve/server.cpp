@@ -158,8 +158,15 @@ bool malformed(const Request& request) {
   const sim::MachineParams& m = request.machine;
   if (m.n < 0 || m.n > kMaxCubeDims) return true;
   if (request.kernel.kind == KernelKind::none) {
-    return request.before.shape().m() != request.after.shape().m() ||
-           request.before.processor_bits() > m.n || request.after.processor_bits() > m.n;
+    // The spec pair's processors must fit the machine's nodes: 2^n on
+    // the cube, the topology's node count off it (where n is 0).
+    const cube::word nodes = m.topology.node_count(m.n);
+    const auto fits = [nodes](const cube::PartitionSpec& spec) {
+      const int bits = spec.processor_bits();
+      return bits < 64 && (cube::word{1} << bits) <= nodes;
+    };
+    return request.before.shape().m() != request.after.shape().m() || !fits(request.before) ||
+           !fits(request.after);
   }
   // Kernel requests ignore the spec pair; shape/divisibility problems
   // reject synchronously instead of consuming a queue slot.

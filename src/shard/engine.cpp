@@ -318,6 +318,21 @@ void run_sharded(const sim::MachineParams& params, const sim::EngineOptions& opt
 
 }  // namespace
 
+std::size_t ShardScratch::heap_bytes() const noexcept {
+  std::size_t bytes = base.heap_bytes() + shards.capacity() * sizeof(PerShard) +
+                      link_owner.capacity() * sizeof(std::uint32_t) +
+                      link_faulted.capacity() * sizeof(std::uint8_t) +
+                      suffix.capacity() * sizeof(Event);
+  for (const PerShard& sh : shards) {
+    bytes += sh.queue.heap_bytes() +
+             (sh.window.capacity() + sh.cross.capacity()) * sizeof(Event) +
+             sh.deliveries.capacity() * sizeof(Delivery) +
+             sh.outbox.capacity() * sizeof(std::vector<Event>);
+    for (const auto& box : sh.outbox) bytes += box.capacity() * sizeof(Event);
+  }
+  return bytes;
+}
+
 double ShardStats::imbalance() const noexcept {
   if (shard_events.empty() || parallel_events == 0) return 0.0;
   std::size_t mx = 0;

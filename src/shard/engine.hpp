@@ -110,6 +110,10 @@ struct ShardScratch {
     std::size_t events = 0;     ///< parallel events processed (stats).
   };
 
+  /// Heap bytes the scratch holds: the shared RunScratch plus every
+  /// shard's queue, buffers and mailboxes and the link tables.
+  std::size_t heap_bytes() const noexcept;
+
   sim::RunScratch base;
   std::vector<PerShard> shards;
   std::vector<std::uint32_t> link_owner;   ///< compact link -> owning shard.

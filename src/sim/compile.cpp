@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <limits>
+#include <unordered_map>
 
 #include "cube/bits.hpp"
 #include "sim/engine.hpp"
@@ -26,6 +27,32 @@ std::string node_slot_str(word node, slot s) {
 [[noreturn]] void fail_slot(const char* what, word node, slot s) {
   throw ProgramError(std::string(what) + node_slot_str(node, s));
 }
+
+/// A per-program cost table under construction: one entry per distinct
+/// key (send size or staged volume), found through a map behind a
+/// last-hit check, since consecutive records almost always share it.
+template <class Entry>
+struct CostTable {
+  std::vector<Entry>& table;
+  std::unordered_map<std::uint64_t, std::uint32_t> by_key{};
+  std::uint64_t last_key = ~std::uint64_t{0};
+  std::uint32_t last = 0;
+
+  /// The entry index of `key`, appending make() for a new key.
+  template <class Make>
+  std::uint32_t index(std::uint64_t key, Make make) {
+    if (key == last_key) return last;
+    const auto [it, fresh] = by_key.try_emplace(key, static_cast<std::uint32_t>(table.size()));
+    if (fresh) {
+      if (table.size() >= (std::size_t{1} << 30))  // CompiledSend::cost is 30 bits
+        throw ProgramError("program has more than 2^30 distinct send or stage sizes");
+      table.push_back(make());
+    }
+    last_key = key;
+    last = it->second;
+    return last;
+  }
+};
 
 /// The executor, in data mode or timing-only mode, writing into a
 /// caller-owned result so batch runs reuse its storage.  All mutable
@@ -95,32 +122,44 @@ void run_compiled_into(const MachineParams& params, const EngineOptions& options
     // slot gives every send the memory as of the start of this step
     // without copying the whole memory image.
     if constexpr (kData) {
+      // Slot and payload offsets are running sums over the phase's
+      // sends (see CompiledSend).
       Memory& mem = out.memory;
       word* const payload = scratch.payload.data();
+      const slot* const phase_slots = slot_pool.data() + ph.slot_begin;
+      const slot* src = phase_slots;
+      word* pay = payload;
       for (std::uint32_t k = ph.send_begin; k < ph.send_end; ++k) {
         const CompiledSend& s = sends[k];
         const auto& local = mem[static_cast<std::size_t>(s.src)];
-        const slot* src = slot_pool.data() + s.slot_off;
         for (std::uint32_t i = 0; i < s.count; ++i) {
           const word v = local[static_cast<std::size_t>(src[i])];
           if (v == kEmptySlot) fail_slot("send reads empty ", s.src, src[i]);
-          payload[s.payload_off + i] = v;
+          pay[i] = v;
         }
+        src += 2 * std::size_t{s.count};
+        pay += s.count;
       }
+      src = phase_slots;
       for (std::uint32_t k = ph.send_begin; k < ph.send_end; ++k) {
         const CompiledSend& s = sends[k];
-        if (s.keep_source) continue;
-        auto& local = mem[static_cast<std::size_t>(s.src)];
-        const slot* src = slot_pool.data() + s.slot_off;
-        for (std::uint32_t i = 0; i < s.count; ++i)
-          local[static_cast<std::size_t>(src[i])] = kEmptySlot;
+        if (!s.keep_source) {
+          auto& local = mem[static_cast<std::size_t>(s.src)];
+          for (std::uint32_t i = 0; i < s.count; ++i)
+            local[static_cast<std::size_t>(src[i])] = kEmptySlot;
+        }
+        src += 2 * std::size_t{s.count};
       }
+      src = phase_slots;
+      pay = payload;
       for (std::uint32_t k = ph.send_begin; k < ph.send_end; ++k) {
         const CompiledSend& s = sends[k];
         auto& local = mem[static_cast<std::size_t>(s.dst)];
-        const slot* dst = slot_pool.data() + s.slot_off + s.count;
+        const slot* dst = src + s.count;
         for (std::uint32_t i = 0; i < s.count; ++i)
-          local[static_cast<std::size_t>(dst[i])] = payload[s.payload_off + i];
+          local[static_cast<std::size_t>(dst[i])] = pay[i];
+        src += 2 * std::size_t{s.count};
+        pay += s.count;
       }
     }
 
@@ -193,14 +232,20 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
   if (program.topology != machine.topology)
     throw ProgramError("program/machine topology mismatch");
 
+  // Node ids, slots and link ids are stored as uint32_t (send records,
+  // slot pool, link pool): a larger id space would wrap silently, so it
+  // is refused before anything O(nodes) is allocated.
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  if (program.local_slots > k32)
+    throw ProgramError("program has more local slots than 32-bit slots address");
+
   CompiledProgram cp;
   cp.n_ = program.n;
   cp.local_slots_ = program.local_slots;
   cp.topology_ = topo::make_topology(machine.topology, machine.n);
-  // Link ids are stored as uint32_t (link pool, active links): a larger
-  // link space would wrap silently, so it is refused before anything
-  // O(nodes) is allocated.
-  if (cp.topology_->link_slots() > (std::size_t{1} << 32))
+  if (cp.topology_->nodes() > k32)
+    throw ProgramError("machine has more nodes than 32-bit node ids address");
+  if (cp.topology_->link_slots() > k32)
     throw ProgramError("machine has more directed links than 32-bit link ids address");
   cp.nodes_ = cp.topology_->nodes();
   cp.ports_ = cp.topology_->ports();
@@ -251,6 +296,8 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
     if (op.src_slots.size() != op.dst_slots.size())
       throw ProgramError("copy op slot count mismatch");
     if (op.node >= nnodes) throw ProgramError("copy op node out of range");
+    if (cp.slot_pool_.size() + 2 * op.src_slots.size() > k32)
+      throw ProgramError("slot pool exceeds 32-bit copy offsets");
     see_node(op.node);
     CompiledCopy c;
     c.node = op.node;
@@ -270,11 +317,17 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
     cp.copies_.push_back(c);
   };
 
+  CostTable<SendCost> send_costs{cp.send_costs_};
+  CostTable<StageCost> stage_costs{cp.stage_costs_};
+
   const auto pack_stage = [&](const StageOp& op, const char* kind) {
     if (op.node >= nnodes) throw ProgramError(std::string(kind) + " op node out of range");
     see_node(op.node);
-    cp.stages_.push_back(
-        CompiledStage{op.node, op.bytes, static_cast<double>(op.bytes) * machine.tcopy});
+    const std::uint32_t cost = stage_costs.index(op.bytes, [&] {
+      return StageCost{op.bytes, static_cast<double>(op.bytes) * machine.tcopy};
+    });
+    cp.stages_.push_back(CompiledStage{static_cast<std::uint32_t>(op.node), cost});
+    return cp.stage_costs_[cost].cost;
   };
 
   const bool cut_through = machine.switching == Switching::cut_through;
@@ -292,12 +345,12 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
 
     ph.stage_begin = static_cast<std::uint32_t>(cp.stages_.size());
     for (const StageOp& op : phase.stage) {
-      pack_stage(op, "stage");
-      ph.copy_time += cp.stages_.back().cost;
+      ph.copy_time += pack_stage(op, "stage");
     }
     ph.stage_end = static_cast<std::uint32_t>(cp.stages_.size());
 
     ph.send_begin = static_cast<std::uint32_t>(cp.sends_.size());
+    ph.slot_begin = cp.slot_pool_.size();
     ++epoch;
     delivered_keys.clear();
     double ph_min_dt = std::numeric_limits<double>::infinity();
@@ -307,12 +360,14 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
       if (op.route.empty()) throw ProgramError("send with empty route");
 
       CompiledSend s;
-      s.src = op.src;
-      s.slot_off = static_cast<std::uint32_t>(cp.slot_pool_.size());
+      s.src = static_cast<std::uint32_t>(op.src);
       s.count = static_cast<std::uint32_t>(op.src_slots.size());
       s.link_off = static_cast<std::uint32_t>(cp.link_pool_.size());
       s.route_len = static_cast<std::uint32_t>(op.route.size());
-      s.payload_off = payload_off;
+      s.cost = send_costs.index(op.elements(), [&] {
+        const std::size_t bytes = op.elements() * static_cast<std::size_t>(machine.element_bytes);
+        return SendCost{machine.hop_time(bytes), static_cast<double>(bytes) * machine.tc};
+      });
       s.keep_source = op.keep_source;
       s.rerouted = op.rerouted;
       if (op.rerouted) ph.reroutes += 1;
@@ -327,7 +382,7 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
         cp.link_pool_.push_back(static_cast<std::uint32_t>(li));
         at = next;
       }
-      s.dst = at;
+      s.dst = static_cast<std::uint32_t>(at);
       see_node(s.src);
       see_node(s.dst);
 
@@ -350,14 +405,10 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
         cp.slot_pool_.push_back(sl);
       }
 
-      const std::size_t bytes =
-          op.elements() * static_cast<std::size_t>(machine.element_bytes);
-      s.hop_cost = machine.hop_time(bytes);
-      s.serialise = static_cast<double>(bytes) * machine.tc;
-
       // Natural event spacing for the calendar queue's bucket width,
       // and the conservative lookahead of the phase (its minimum).
-      const double dt = cut_through ? machine.tau + s.serialise : s.hop_cost;
+      const SendCost& cost = cp.send_costs_[s.cost];
+      const double dt = cut_through ? machine.tau + cost.serialise : cost.hop_cost;
       if (dt > 0.0 && (cp.event_dt_hint_ == 0.0 || dt < cp.event_dt_hint_))
         cp.event_dt_hint_ = dt;
       ph_min_dt = std::min(ph_min_dt, dt);
@@ -386,8 +437,7 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
 
     ph.post_stage_begin = static_cast<std::uint32_t>(cp.stages_.size());
     for (const StageOp& op : phase.post_stage) {
-      pack_stage(op, "post-stage");
-      ph.copy_time += cp.stages_.back().cost;
+      ph.copy_time += pack_stage(op, "post-stage");
     }
     ph.post_stage_end = static_cast<std::uint32_t>(cp.stages_.size());
 
@@ -430,8 +480,10 @@ CompiledProgram compile(const Program& program, const MachineParams& machine) {
     const std::uint64_t below = (std::uint64_t{1} << (li & 63)) - 1;
     li = rank_base[li >> 6] + static_cast<std::uint32_t>(std::popcount(used[li >> 6] & below));
   }
+  cp.active_nodes_.reserve(static_cast<std::size_t>(
+      std::count(node_seen.begin(), node_seen.end(), std::uint8_t{1})));
   for (std::size_t x = 0; x < static_cast<std::size_t>(nnodes); ++x)
-    if (node_seen[x]) cp.active_nodes_.push_back(static_cast<word>(x));
+    if (node_seen[x]) cp.active_nodes_.push_back(static_cast<std::uint32_t>(x));
 
   return cp;
 }

@@ -12,7 +12,9 @@
 //    per-op {offset, length} records;
 //  * destination nodes, per-hop store-and-forward times, cut-through
 //    serialisation times and copy/staging charges are precomputed for the
-//    given `MachineParams`, so a run only adds and compares doubles;
+//    given `MachineParams`, so a run only adds and compares doubles.  Send
+//    and staging costs are kept once per distinct message size or staged
+//    volume, in two small tables the records index;
 //  * every structural property that raises `ProgramError` (operand
 //    ranges, route dimensions, copy slot-count mismatches, double delivery
 //    within a phase) is checked here, once, for the whole program before
@@ -39,26 +41,36 @@
 
 namespace nct::sim {
 
-/// A send flattened against a fixed machine.  Source slots live at
-/// [slot_off, slot_off + count) of the slot pool, destination slots at
-/// [slot_off + count, slot_off + 2*count); the route's directed-link
-/// indices at [link_off, link_off + route_len) of the link pool.
-/// Field order is deliberate: the fields the timing loop touches per
-/// event come first so one cache line covers them.
-struct CompiledSend {
-  word src = 0;
-  word dst = 0;                 ///< route endpoint, precomputed.
-  std::uint32_t link_off = 0;
-  std::uint32_t route_len = 0;
+/// The time costs of one message size on the compiled machine.  Both
+/// are pure functions of the message's bytes, so a program keeps one
+/// entry per distinct send size (CompiledProgram::send_costs(); the
+/// 18-cube SPT stepwise exchange has one) and every send indexes it.
+struct SendCost {
   double hop_cost = 0.0;   ///< store-and-forward: time per hop.
   double serialise = 0.0;  ///< cut-through: payload serialisation time.
-  // Data-mode / trace-only fields below.
-  std::uint32_t slot_off = 0;
-  std::uint32_t count = 0;      ///< elements carried.
-  std::uint32_t payload_off = 0;  ///< offset into the phase payload arena.
-  bool keep_source = false;
-  bool rerouted = false;          ///< see SendOp::rerouted.
 };
+
+/// A send flattened against a fixed machine: the 24-byte record every
+/// timed event reads.  Node ids are 32-bit (compile refuses machines
+/// past 2^32 nodes); the route's compact link ids sit at
+/// [link_off, link_off + route_len) of the link pool, and the send's
+/// costs at send_costs()[cost].  Slot and payload offsets are not
+/// stored: within a phase, send k's source slots follow send k-1's
+/// destination slots in the slot pool (from CompiledPhase::slot_begin),
+/// source then destination, `count` each, and its payload follows send
+/// k-1's in the phase payload arena, so data mode derives both as
+/// running offsets and the timing loop never touches them.
+struct CompiledSend {
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;        ///< route endpoint, precomputed.
+  std::uint32_t link_off = 0;
+  std::uint32_t route_len = 0;
+  std::uint32_t count = 0;      ///< elements carried.
+  std::uint32_t cost : 30 = 0;  ///< index into CompiledProgram::send_costs().
+  std::uint32_t keep_source : 1 = 0;
+  std::uint32_t rerouted : 1 = 0;  ///< see SendOp::rerouted.
+};
+static_assert(sizeof(CompiledSend) <= 24, "the hot send record must stay within 24 bytes");
 
 /// A local copy; source slots at [slot_off, +count), destinations at
 /// [slot_off + count, +count) of the slot pool.
@@ -70,10 +82,17 @@ struct CompiledCopy {
   double cost = 0.0;  ///< precomputed charge (0 when uncharged).
 };
 
-struct CompiledStage {
-  word node = 0;
+/// The charge of one staged volume, shared by every stage of that
+/// volume through CompiledProgram::stage_costs().
+struct StageCost {
   std::uint64_t bytes = 0;  ///< staged volume (event tracing only).
   double cost = 0.0;
+};
+
+/// A staging charge: its node and an index into stage_costs().
+struct CompiledStage {
+  std::uint32_t node = 0;
+  std::uint32_t cost = 0;
 };
 
 /// Half-open index ranges into the per-op record arrays, plus the phase
@@ -85,6 +104,7 @@ struct CompiledPhase {
   std::uint32_t send_begin = 0, send_end = 0;
   std::uint32_t post_stage_begin = 0, post_stage_end = 0;
   std::uint32_t post_copy_begin = 0, post_copy_end = 0;
+  std::size_t slot_begin = 0;       ///< slot-pool offset of the first send's slots.
   std::uint32_t payload_elems = 0;  ///< data-mode payload arena size.
   std::uint32_t reroutes = 0;       ///< sends planned on detour routes.
   std::size_t sends = 0;
@@ -121,6 +141,10 @@ class CompiledProgram {
   const std::vector<CompiledSend>& send_ops() const noexcept { return sends_; }
   const std::vector<CompiledCopy>& copy_ops() const noexcept { return copies_; }
   const std::vector<CompiledStage>& stage_ops() const noexcept { return stages_; }
+  /// Distinct send costs, indexed by CompiledSend::cost.
+  const std::vector<SendCost>& send_costs() const noexcept { return send_costs_; }
+  /// Distinct staging charges, indexed by CompiledStage::cost.
+  const std::vector<StageCost>& stage_costs() const noexcept { return stage_costs_; }
   const std::vector<slot>& slot_pool() const noexcept { return slot_pool_; }
   /// Per-hop link ids of every route, as *compact* active-link indices
   /// in [0, active_links().size()).  The run-time link arrays are sized
@@ -150,7 +174,7 @@ class CompiledProgram {
   /// Nodes the program ever touches as source, destination, copy or
   /// stage site (sorted, unique); the node-clock analogue of
   /// active_links().
-  const std::vector<word>& active_nodes() const noexcept { return active_nodes_; }
+  const std::vector<std::uint32_t>& active_nodes() const noexcept { return active_nodes_; }
   /// Largest send count of any single phase (sizes the event queue's
   /// packet-state arrays).
   std::size_t max_phase_sends() const noexcept { return max_phase_sends_; }
@@ -160,18 +184,20 @@ class CompiledProgram {
   double event_dt_hint() const noexcept { return event_dt_hint_; }
 
   /// Heap bytes the program's pools hold: the summed capacity of its
-  /// sends, copies, stages, slot and link pools, active links and
-  /// nodes, and phases with their labels.  The weight of an entry in
+  /// sends, copies, stages, cost tables, slot and link pools, active
+  /// links and nodes, and phases with their labels.  The weight of an entry in
   /// the server's compiled-program cache (serve/program_cache.hpp).
   std::size_t heap_bytes() const noexcept {
     std::size_t bytes = phases_.capacity() * sizeof(CompiledPhase) +
                         sends_.capacity() * sizeof(CompiledSend) +
                         copies_.capacity() * sizeof(CompiledCopy) +
                         stages_.capacity() * sizeof(CompiledStage) +
+                        send_costs_.capacity() * sizeof(SendCost) +
+                        stage_costs_.capacity() * sizeof(StageCost) +
                         slot_pool_.capacity() * sizeof(slot) +
                         link_pool_.capacity() * sizeof(std::uint32_t) +
                         active_links_.capacity() * sizeof(std::uint32_t) +
-                        active_nodes_.capacity() * sizeof(word);
+                        active_nodes_.capacity() * sizeof(std::uint32_t);
     for (const CompiledPhase& p : phases_) bytes += p.label.capacity();
     return bytes;
   }
@@ -189,10 +215,12 @@ class CompiledProgram {
   std::vector<CompiledSend> sends_;
   std::vector<CompiledCopy> copies_;   ///< pre and post copies, pooled.
   std::vector<CompiledStage> stages_;  ///< stage and post-stage, pooled.
+  std::vector<SendCost> send_costs_;
+  std::vector<StageCost> stage_costs_;
   std::vector<slot> slot_pool_;
   std::vector<std::uint32_t> link_pool_;
   std::vector<std::uint32_t> active_links_;
-  std::vector<word> active_nodes_;
+  std::vector<std::uint32_t> active_nodes_;
   std::size_t max_phase_payload_ = 0;
   std::size_t max_phase_sends_ = 0;
   double event_dt_hint_ = 0.0;
@@ -200,8 +228,10 @@ class CompiledProgram {
 
 /// One-pass compile of `program` against `machine`.  Throws ProgramError
 /// on any structural violation (including double delivery, which is
-/// data-independent), and for a machine whose directed links do not
-/// fit 32-bit link ids (topology().link_slots() > 2^32).
+/// data-independent), and, before allocating anything O(nodes), for a
+/// program past the 32-bit record fields: more than 2^32 nodes or
+/// local slots, or directed links that do not fit 32-bit link ids
+/// (topology().link_slots() > 2^32).
 CompiledProgram compile(const Program& program, const MachineParams& machine);
 
 }  // namespace nct::sim

@@ -53,6 +53,7 @@ namespace nct::sim::detail {
 struct ExecEnv {
   // Program (immutable during a run).
   const CompiledSend* sends = nullptr;        ///< full send array.
+  const SendCost* send_costs = nullptr;       ///< indexed by CompiledSend::cost.
   const std::uint32_t* link_pool = nullptr;   ///< compact link ids per hop.
   const std::uint32_t* link_global = nullptr; ///< compact -> topo::link_index.
   const topo::Topology* topology = nullptr;
@@ -106,7 +107,7 @@ inline ExecEnv begin_run(const MachineParams& params, const EngineOptions& optio
   scratch.ensure(static_cast<std::size_t>(cp.nodes()), nactive, cp.max_phase_sends());
   std::fill_n(scratch.link_free.begin(), nactive, 0.0);
   std::fill_n(scratch.link_busy_total.begin(), nactive, 0.0);
-  for (const word x : cp.active_nodes()) {
+  for (const std::uint32_t x : cp.active_nodes()) {
     const auto xi = static_cast<std::size_t>(x);
     scratch.send_free[xi] = 0.0;
     scratch.recv_free[xi] = 0.0;
@@ -126,6 +127,7 @@ inline ExecEnv begin_run(const MachineParams& params, const EngineOptions& optio
 
   ExecEnv env;
   env.sends = cp.send_ops().data();
+  env.send_costs = cp.send_costs().data();
   env.link_pool = cp.link_pool().data();
   env.link_global = cp.active_links().data();
   env.topology = &cp.topology();
@@ -194,6 +196,18 @@ inline void run_copies(const ExecEnv& env, const CompiledProgram& cp, std::int32
   }
 }
 
+/// Staging charges [begin, end), each at its cost-table entry.
+template <bool kTrace>
+inline void run_stages(const ExecEnv& env, const CompiledProgram& cp, std::int32_t phase_index,
+                       double clock, PhaseStats& stats, std::uint32_t begin, std::uint32_t end) {
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const CompiledStage& st = cp.stage_ops()[i];
+    const StageCost& c = cp.stage_costs()[st.cost];
+    charge<kTrace>(env, phase_index, clock, stats, st.node, c.cost, c.bytes,
+                   obs::EventKind::stage);
+  }
+}
+
 /// The phase prologue of both executors, before any send is injected:
 /// the stats row, `phase_begin`, pre-copies, staging charges and the
 /// phase's share of the run totals.
@@ -209,11 +223,7 @@ inline void open_phase(const ExecEnv& env, const CompiledProgram& cp, std::int32
   if constexpr (kTrace) env.sink->phase_begin(phase_index, ph.label, clock);
   run_copies<kTrace>(env, cp, phase_index, clock, stats, ph.pre_copy_begin, ph.pre_copy_end,
                      on_copy);
-  for (std::uint32_t i = ph.stage_begin; i < ph.stage_end; ++i) {
-    const CompiledStage& st = cp.stage_ops()[i];
-    charge<kTrace>(env, phase_index, clock, stats, st.node, st.cost, st.bytes,
-                   obs::EventKind::stage);
-  }
+  run_stages<kTrace>(env, cp, phase_index, clock, stats, ph.stage_begin, ph.stage_end);
   stats.sends = ph.sends;
   stats.elements = ph.elements;
   stats.hops = ph.hops;
@@ -232,11 +242,8 @@ inline double close_phase(const ExecEnv& env, const CompiledProgram& cp,
                           OnCopy&& on_copy) {
   const CompiledPhase& ph = cp.phases()[static_cast<std::size_t>(phase_index)];
   PhaseStats& stats = out.phases[static_cast<std::size_t>(phase_index)];
-  for (std::uint32_t i = ph.post_stage_begin; i < ph.post_stage_end; ++i) {
-    const CompiledStage& st = cp.stage_ops()[i];
-    charge<kTrace>(env, phase_index, clock, stats, st.node, st.cost, st.bytes,
-                   obs::EventKind::stage);
-  }
+  run_stages<kTrace>(env, cp, phase_index, clock, stats, ph.post_stage_begin,
+                    ph.post_stage_end);
   run_copies<kTrace>(env, cp, phase_index, clock, stats, ph.post_copy_begin, ph.post_copy_end,
                      on_copy);
   stats.end = std::max(stats.end, stats.start);
@@ -273,7 +280,7 @@ inline void step_cut_through(const ExecEnv& env, std::int32_t phase_index,
       env.sink->port_wait(obs::EventKind::port_wait_recv, phase_index, s.dst, seq,
                           send_gate, recv_gate);
   }
-  double serialise = s.serialise;
+  double serialise = env.send_costs[s.cost].serialise;
   if (!kLean && env.gate->model) {
     for (std::uint32_t i = 0; i < s.route_len; ++i)
       start = env.gate->acquire(env.link_global[links[i]], start, phase_index, seq);
@@ -339,7 +346,7 @@ inline void step_store_forward(const ExecEnv& env, std::int32_t phase_index,
       env.sink->port_wait(obs::EventKind::port_wait_recv, phase_index, s.dst, seq,
                           send_gate, recv_gate);
   }
-  double hop_cost = s.hop_cost;
+  double hop_cost = env.send_costs[s.cost].hop_cost;
   if (!kLean && env.gate->model) {
     const std::uint32_t gli = env.link_global[ci];
     start = env.gate->acquire(gli, start, phase_index, seq);

@@ -37,8 +37,11 @@ namespace nct::sim {
 
 using cube::word;
 
-/// Slot index within a node's local memory.
-using slot = std::uint64_t;
+/// Slot index within a node's local memory.  32 bits: a program's
+/// local_slots is at most 2^32 (sim::compile and the router refuse
+/// more), and the slot lists are the bulk of a plan's and a compiled
+/// program's memory.
+using slot = std::uint32_t;
 
 /// Raised when a program violates the execution model (bad slot, double
 /// delivery, reading an empty slot, ...).  Always a planner bug.
@@ -76,7 +79,7 @@ struct SendOp {
 /// The sends of one phase, stored flat: per-send source node, flags and
 /// end offsets, plus one pool each of route entries, source slots and
 /// destination slots, in send order.  A send costs 17 bytes of per-send
-/// arrays plus 4 bytes per route entry and 16 per element, in a fixed
+/// arrays plus 4 bytes per route entry and 8 per element, in a fixed
 /// number of heap blocks however many sends there are.  The pools only
 /// grow through add(), so two lists compare equal exactly when they hold
 /// the same sends in the same order.

@@ -51,6 +51,16 @@ namespace nct::sim::detail {
 /// is one index increment.  Only an out-of-order push marks the bucket
 /// dirty, and the unsorted tail is merged on the next pop from it.
 ///
+/// Storage is recycled, not kept per bucket: a bucket that drains hands
+/// its (cleared) event vector to a spare pool, and the next empty
+/// bucket to receive a push adopts the most recently pooled vector.
+/// Each phase fills buckets at a different place on the ring, so with
+/// per-bucket storage every bucket would keep its own peak capacity
+/// for good; with the pool the queue keeps only as many vectors as
+/// buckets were ever non-empty at once, each at most twice the events
+/// it held, and a steady state of repeated runs swaps vectors instead
+/// of allocating.
+///
 /// Monotonicity contract (satisfied by both executors): a push after
 /// the first pop never carries a `ready` below the last popped one.
 /// top() may advance the current day past a later push's day; that push
@@ -87,6 +97,7 @@ class CalendarQueue {
     const std::size_t idx = static_cast<std::size_t>(day) & kMask;
     Bucket& b = buckets_[idx];
     if (!b.events.empty() && before(ready, pid, b.events.back())) b.dirty = true;
+    if (b.events.size() == b.events.capacity()) [[unlikely]] adopt(b);
     b.events.push_back(Event{ready, pid});
     occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     ++size_;
@@ -105,8 +116,7 @@ class CalendarQueue {
     Bucket& b = front_bucket();
     const Event ev = b.events[b.head];
     if (++b.head == b.events.size()) {
-      b.events.clear();
-      b.head = 0;
+      recycle(b);
       const std::size_t idx = static_cast<std::size_t>(cur_day_) & kMask;
       occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     }
@@ -118,12 +128,21 @@ class CalendarQueue {
   void clear() {
     if (size_ == 0) return;
     for (Bucket& b : buckets_) {
-      b.events.clear();
-      b.head = 0;
+      if (!b.events.empty()) recycle(b);
       b.dirty = false;
     }
     occupied_.fill(0);
     size_ = 0;
+  }
+
+  /// Heap bytes the queue holds: the bucket array and the capacity of
+  /// every event vector, in buckets or pooled.
+  std::size_t heap_bytes() const noexcept {
+    std::size_t bytes = buckets_.capacity() * sizeof(Bucket) +
+                        spare_.capacity() * sizeof(std::vector<Event>);
+    for (const Bucket& b : buckets_) bytes += b.events.capacity() * sizeof(Event);
+    for (const auto& v : spare_) bytes += v.capacity() * sizeof(Event);
+    return bytes;
   }
 
  private:
@@ -182,6 +201,24 @@ class CalendarQueue {
     }
   }
 
+  /// Give an empty bucket without storage the most recently pooled
+  /// vector (a full bucket just grows).  Out of line: push stays small
+  /// enough to inline into the executors' event loops.
+  [[gnu::noinline]] void adopt(Bucket& b) {
+    if (!b.events.empty() || spare_.empty()) return;
+    b.events.swap(spare_.back());
+    spare_.pop_back();
+  }
+
+  /// Empty a drained bucket and pool its storage for the next bucket
+  /// that fills.
+  [[gnu::noinline]] void recycle(Bucket& b) {
+    b.events.clear();
+    b.head = 0;
+    spare_.push_back(std::move(b.events));
+    b.events = std::vector<Event>();
+  }
+
   /// Restore ascending order on [head, end).  Reached only after an
   /// out-of-order push into this bucket, so the cost is proportional to
   /// how irregular the schedule actually is.
@@ -229,6 +266,7 @@ class CalendarQueue {
   }
 
   std::vector<Bucket> buckets_;
+  std::vector<std::vector<Event>> spare_;  ///< drained buckets' storage, LIFO.
   std::array<std::uint64_t, kBuckets / 64> occupied_{};
   double inv_width_ = 1.0;
   double next_day_ = 1.0;  ///< double(cur_day_ + 1), the same-day bound.
@@ -273,6 +311,16 @@ class RunScratch {
   std::vector<double> send_free;
   std::vector<double> recv_free;
   std::vector<double> node_done;
+
+  /// Heap bytes the scratch holds: every array's capacity plus the
+  /// event queue's (CalendarQueue::heap_bytes()).
+  std::size_t heap_bytes() const noexcept {
+    return (link_free.capacity() + link_busy_total.capacity() + send_free.capacity() +
+            recv_free.capacity() + node_done.capacity()) *
+               sizeof(double) +
+           pkt_hop.capacity() * sizeof(std::uint32_t) + queue.heap_bytes() +
+           (payload.capacity() + copy_vals.capacity()) * sizeof(word);
+  }
 
   /// SoA in-flight packet state: next hop index per packet id (the
   /// packet's ready time lives in its queue event).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/router.hpp"
 #include "core/transpose1d.hpp"
 #include "sim/engine.hpp"
 
@@ -96,6 +97,22 @@ TEST(MixedEncoding, NaiveCorrectOnSixCube) {
   const auto prog = transpose_mixed_naive(before, inter, after);
   expect_mixed(before, after, prog, n, "naive-6");
   EXPECT_EQ(routing_steps(prog), static_cast<std::size_t>(2 * n - 2));
+}
+
+TEST(Router, RejectsSlotCapacityBeyond32Bits) {
+  // Slots are 32-bit: a headroom factor that takes the per-node
+  // capacity past 2^32 is refused instead of truncating slot indices,
+  // before the working image is allocated (and without the product
+  // wrapping).
+  const auto dest = [](word e) { return Placement{0, e}; };
+  RouterOptions opt;
+  opt.slot_headroom_factor = (word{1} << 32) + 1;
+  EXPECT_THROW(route_elements(0, {0}, 1, dest, {}, opt), std::invalid_argument);
+  opt.slot_headroom_factor = (word{1} << 31) + 1;
+  EXPECT_THROW(route_elements(0, {0, 1}, 2, dest, {}, opt), std::invalid_argument);
+  opt.slot_headroom_factor = 1;
+  const auto prog = route_elements(0, {0, 1}, 2, dest, {}, opt);
+  EXPECT_EQ(prog.local_slots, 2u);
 }
 
 TEST(MixedEncoding, CombinedFasterThanNaive) {

@@ -10,8 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "serve/workload.hpp"
+#include "sim/compile.hpp"
+#include "sim/engine.hpp"
+#include "topology/topology.hpp"
 #include "tune/layouts.hpp"
+#include "tune/tuner.hpp"
 
 namespace nct::serve {
 namespace {
@@ -145,6 +150,49 @@ TEST(Server, FaultCarryingRequestsServeAlongsideHealthyOnes) {
   EXPECT_EQ(out[1].status, ServeStatus::ok);
   EXPECT_EQ(server.stats().cycles, 1u);
   EXPECT_GE(server.stats().batches, 2u);  // distinct problems, distinct groups
+}
+
+TEST(Server, NonCubeTransposeRequestIsServedLikeAStandaloneRun) {
+  // Off the cube machine.n is 0, so admission sizes the spec pair
+  // against the topology's node count.  A mesh(2x2) transpose with a
+  // transient link fault is admitted, and in both the cost-model epoch
+  // and the tuned one its time equals tuning, compiling and running the
+  // served plan outside the server.
+  const tune::SpecPair p = tune::fig_layout_2d(8, 2);
+  Request r;
+  r.machine = sim::MachineParams::on_topology(topo::mesh_id({2, 2}),
+                                              sim::MachineParams::ipsc(2));
+  r.before = p.first;
+  r.after = p.second;
+  r.faults.fail_link(0, 0, fault::Window{0.0, 1e-3});
+
+  tune::TuneOptions topt;
+  topt.faults = &r.faults;
+  const tune::Tuner tuner(r.machine, topt);
+  const fault::FaultModel faults(topo::make_topology(r.machine.topology, r.machine.n),
+                                 r.faults);
+  sim::EngineOptions eopt;
+  eopt.faults = &faults;
+  Server server;
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    SCOPED_TRACE(epoch);
+    const Admission adm = server.submit(r);
+    ASSERT_TRUE(adm.admitted);
+    const std::vector<Response> out = server.drain();
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(out[0].status, ServeStatus::ok);
+    EXPECT_EQ(out[0].cache_hit, epoch == 1);
+    const sim::CompiledProgram prog =
+        sim::compile(tuner.build(r.before, r.after, out[0].plan), r.machine);
+    EXPECT_EQ(out[0].simulated_seconds,
+              sim::Engine(r.machine, eopt).run_timing(prog).total_time);
+  }
+
+  // Sixteen processors do not fit the mesh's four nodes.
+  Request too_big = r;
+  too_big.before = tune::fig_layout_2d(8, 4).first;
+  too_big.after = tune::fig_layout_2d(8, 4).second;
+  EXPECT_EQ(server.submit(too_big).reason, RejectReason::bad_request);
 }
 
 TEST(Server, MalformedFaultSpecServesInfeasibleNotCrash) {

@@ -132,6 +132,39 @@ TEST(CalendarQueue, ClearThenReuse) {
   EXPECT_EQ(evs[1].pid, 7u);
 }
 
+TEST(CalendarQueue, RetainsCapacityForLiveEventsNotEveryBucket) {
+  // Each phase of a 12-cube SPT stepwise run starts at a later clock,
+  // so it fills buckets at a different place on the ring.  Drained
+  // buckets hand their storage on, so the queue keeps capacity for the
+  // events live at once (at most one per send of a phase), not every
+  // bucket's own peak; and repeated runs reuse it without growing.
+  const int n = 12, half = n / 2;
+  const cube::MatrixShape s{half, n - half};
+  const auto before = cube::PartitionSpec::two_dim_consecutive(s, half, half);
+  const auto after = cube::PartitionSpec::two_dim_consecutive(s.transposed(), half, half);
+  const auto m = MachineParams::ipsc(n);
+  const CompiledProgram cp = compile(core::transpose_2d_stepwise(before, after, m), m);
+  ASSERT_GE(cp.phases().size(), 6u);
+  const Engine engine(m);
+  RunScratch scratch;
+  RunResult out;
+  engine.run_timing(cp, scratch, out);
+  const std::size_t first = scratch.queue.heap_bytes();
+  for (int run = 0; run < 3; ++run) engine.run_timing(cp, scratch, out);
+  EXPECT_EQ(scratch.queue.heap_bytes(), first);
+
+  const std::size_t buckets = CalendarQueue().heap_bytes();
+  const std::size_t live = cp.max_phase_sends() * sizeof(CalendarQueue::Event);
+  EXPECT_LE(scratch.queue.heap_bytes(), buckets + 4 * live)
+      << "buckets " << buckets << " B, live " << live << " B";
+  // The rest of a timing run's scratch: two clocks per active link,
+  // three per node and a hop index per send of the largest phase.
+  EXPECT_EQ(scratch.heap_bytes(),
+            scratch.queue.heap_bytes() + 2 * sizeof(double) * cp.active_links().size() +
+                3 * sizeof(double) * static_cast<std::size_t>(cp.nodes()) +
+                sizeof(std::uint32_t) * cp.max_phase_sends());
+}
+
 TEST(CalendarQueue, PushBelowAPeekedDayPopsFirst) {
   // A window drain's shape: top() peeks past the window end (advancing
   // the day), then a forward lands in a day it skipped.

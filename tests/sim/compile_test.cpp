@@ -330,6 +330,28 @@ TEST(Compile, RejectsLinkSpacesBeyond32BitIds) {
             "machine has more directed links than 32-bit link ids address");
 }
 
+TEST(Compile, RejectsLocalSlotsBeyond32Bits) {
+  // Slots are 32-bit: 2^32 local slots (indices up to 2^32 - 1) still
+  // compile, one more is refused before anything per node is allocated.
+  auto prog = one_send_program();
+  prog.local_slots = word{1} << 32;
+  EXPECT_EQ(compile_error(prog, MachineParams::nport(1)), "");
+  prog.local_slots += 1;
+  EXPECT_EQ(compile_error(prog, MachineParams::nport(1)),
+            "program has more local slots than 32-bit slots address");
+}
+
+TEST(Compile, RejectsNodesBeyond32Bits) {
+  // Send records hold 32-bit node ids: a 33-cube is refused up front,
+  // before its (also too large) link space is even considered.
+  Program prog;
+  prog.n = 33;
+  prog.local_slots = 1;
+  prog.phases.emplace_back();
+  EXPECT_EQ(compile_error(prog, MachineParams::nport(33)),
+            "machine has more nodes than 32-bit node ids address");
+}
+
 TEST(Compile, ValidatesDimensionMismatch) {
   const auto prog = one_send_program();
   EXPECT_THROW(compile(prog, MachineParams::nport(2)), ProgramError);
@@ -453,12 +475,40 @@ std::size_t pool_bytes_in_use(const CompiledProgram& cp) {
                       cp.send_ops().size() * sizeof(CompiledSend) +
                       cp.copy_ops().size() * sizeof(CompiledCopy) +
                       cp.stage_ops().size() * sizeof(CompiledStage) +
+                      cp.send_costs().size() * sizeof(SendCost) +
+                      cp.stage_costs().size() * sizeof(StageCost) +
                       cp.slot_pool().size() * sizeof(slot) +
                       cp.link_pool().size() * sizeof(std::uint32_t) +
                       cp.active_links().size() * sizeof(std::uint32_t) +
-                      cp.active_nodes().size() * sizeof(word);
+                      cp.active_nodes().size() * sizeof(std::uint32_t);
   for (const CompiledPhase& p : cp.phases()) bytes += p.label.size();
   return bytes;
+}
+
+/// The cost tables hold exactly one entry per distinct send size and
+/// staged volume, each the machine's cost of that size, and every
+/// record's index points at its own size's entry.
+void expect_cost_tables_are_distinct(const CompiledProgram& cp) {
+  const MachineParams& m = cp.machine();
+  std::map<std::uint32_t, std::uint32_t> send_index;
+  for (const CompiledSend& s : cp.send_ops()) {
+    const auto [it, fresh] = send_index.emplace(s.count, s.cost);
+    EXPECT_EQ(it->second, s.cost) << "two entries for " << s.count << " elements";
+    const std::size_t bytes = std::size_t{s.count} * static_cast<std::size_t>(m.element_bytes);
+    ASSERT_LT(s.cost, cp.send_costs().size());
+    EXPECT_EQ(cp.send_costs()[s.cost].hop_cost, m.hop_time(bytes));
+    EXPECT_EQ(cp.send_costs()[s.cost].serialise, static_cast<double>(bytes) * m.tc);
+  }
+  EXPECT_EQ(cp.send_costs().size(), send_index.size());
+  std::map<std::uint64_t, std::uint32_t> stage_index;
+  for (const CompiledStage& st : cp.stage_ops()) {
+    ASSERT_LT(st.cost, cp.stage_costs().size());
+    const StageCost& c = cp.stage_costs()[st.cost];
+    const auto [it, fresh] = stage_index.emplace(c.bytes, st.cost);
+    EXPECT_EQ(it->second, st.cost) << "two entries for " << c.bytes << " bytes";
+    EXPECT_EQ(c.cost, static_cast<double>(c.bytes) * m.tcopy);
+  }
+  EXPECT_EQ(cp.stage_costs().size(), stage_index.size());
 }
 
 TEST(Compile, HeapBytesCoversEveryPool) {
@@ -472,6 +522,7 @@ TEST(Compile, HeapBytesCoversEveryPool) {
       MachineParams::ipsc(3));
   EXPECT_FALSE(buffered.stage_ops().empty());
   EXPECT_GE(buffered.heap_bytes(), pool_bytes_in_use(buffered));
+  expect_cost_tables_are_distinct(buffered);
 
   const auto stepwise = [](int n, int lg) {
     const cube::MatrixShape s{lg, lg};
@@ -485,6 +536,8 @@ TEST(Compile, HeapBytesCoversEveryPool) {
   EXPECT_FALSE(cube4.copy_ops().empty());  // the final local rearrangement
   EXPECT_GE(cube4.heap_bytes(), pool_bytes_in_use(cube4));
   EXPECT_GE(cube6.heap_bytes(), pool_bytes_in_use(cube6));
+  expect_cost_tables_are_distinct(cube4);
+  expect_cost_tables_are_distinct(cube6);
   EXPECT_GT(cube4.heap_bytes(), 0u);
   EXPECT_GT(cube6.heap_bytes(), cube4.heap_bytes());
 }
