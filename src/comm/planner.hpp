@@ -51,13 +51,14 @@ struct SendScratch {
   std::vector<sim::slot> small_src, small_dst;            ///< optimal: gathered short runs.
 };
 
-/// Number of sends emit_sends makes for the ascending source slots `src`
-/// under `policy` (for SendList::reserve).
+/// Number of sends emit_sends makes for the strictly ascending source
+/// slots `src` under `policy` (for SendList::reserve).
 std::size_t count_sends(std::span<const sim::slot> src, const BufferPolicy& policy,
                         SendScratch& scratch);
 
 /// Appends to `phase` the sends of one group: node x moves the elements
-/// at its ascending slots `src` into slots `dst` of node y along `route`.
+/// at its strictly ascending slots `src` into slots `dst` of node y
+/// along `route`.
 /// The buffer policy decides how the group's contiguous slot runs form
 /// messages, and adds the gather/scatter charges of buffered ones.
 void emit_sends(sim::Phase& phase, word x, word y, std::span<const int> route,

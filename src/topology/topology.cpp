@@ -205,7 +205,7 @@ TorusTopology::TorusTopology(std::vector<int> shape, bool wrap)
   }
 }
 
-word TorusTopology::neighbor(word x, int port) const noexcept {
+word TorusTopology::neighbor_of(word x, int port) const noexcept {
   const std::size_t d = static_cast<std::size_t>(port) / 2;
   const bool up = (port % 2) == 0;
   const word radix = static_cast<word>(shape_[d]);
@@ -239,7 +239,7 @@ SwappedDragonflyTopology::SwappedDragonflyTopology(int K, int M)
   if (K < 1 || M < 1) throw std::invalid_argument("dragonfly: K and M must be >= 1");
 }
 
-word SwappedDragonflyTopology::neighbor(word x, int port) const noexcept {
+word SwappedDragonflyTopology::neighbor_of(word x, int port) const noexcept {
   const word M = static_cast<word>(M_);
   const word g = x / M;  // group in [0, K*M).
   const word r = x % M;  // router within the group.

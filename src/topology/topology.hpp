@@ -109,8 +109,12 @@ class Topology {
     return static_cast<std::size_t>(nodes_) * static_cast<std::size_t>(ports_ > 0 ? ports_ : 1);
   }
 
-  /// Node across port p of x, or kNoNode when the port is unwired.
-  virtual word neighbor(word x, int port) const noexcept = 0;
+  /// Node across port p of x, or kNoNode when the port is unwired.  On
+  /// a cube of n >= 1 dimensions it is flip_bit(x, port) inline, with no
+  /// virtual call (compile makes one call per hop).
+  word neighbor(word x, int port) const noexcept {
+    return n_ > 0 ? cube::flip_bit(x, port) : neighbor_of(x, port);
+  }
 
   /// Port q of `to = neighbor(from, port)` with neighbor(to, q) == from:
   /// the reverse direction of a physical wire.  Returns -1 for unwired
@@ -145,6 +149,9 @@ class Topology {
   Topology(TopologyId id, word nodes, int ports, int n)
       : id_(std::move(id)), nodes_(nodes), ports_(ports), n_(n) {}
 
+  /// neighbor() of each kind; the cube's is reached only at n == 0.
+  virtual word neighbor_of(word x, int port) const noexcept = 0;
+
  private:
   TopologyId id_;
   word nodes_;
@@ -158,7 +165,9 @@ class Topology {
 class HypercubeTopology final : public Topology {
  public:
   explicit HypercubeTopology(int n);
-  word neighbor(word x, int port) const noexcept override {
+
+ private:
+  word neighbor_of(word x, int port) const noexcept override {
     return cube::flip_bit(x, port);
   }
 };
@@ -169,9 +178,10 @@ class HypercubeTopology final : public Topology {
 class TorusTopology final : public Topology {
  public:
   TorusTopology(std::vector<int> shape, bool wrap);
-  word neighbor(word x, int port) const noexcept override;
 
  private:
+  word neighbor_of(word x, int port) const noexcept override;
+
   std::vector<int> shape_;
   std::vector<word> stride_;
   bool wrap_;
@@ -183,9 +193,10 @@ class TorusTopology final : public Topology {
 class SwappedDragonflyTopology final : public Topology {
  public:
   SwappedDragonflyTopology(int K, int M);
-  word neighbor(word x, int port) const noexcept override;
 
  private:
+  word neighbor_of(word x, int port) const noexcept override;
+
   int K_;
   int M_;
 };
