@@ -20,8 +20,8 @@
 // every planner is established separately by the test suite's data-mode
 // runs.  Timing-only execution reuses thread-local RunScratch/RunResult
 // arenas, so a sweep's steady state performs no simulation-side heap
-// allocations; simulated_times() additionally batches precompiled
-// programs through Engine::run_timing_batch.
+// allocations.  The gated benches time host work only through
+// measure() (measure.hpp).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -31,16 +31,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <limits>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "measure.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/batch.hpp"
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
 #include "sim/model.hpp"
@@ -111,28 +109,16 @@ inline double simulated_time(const sim::Program& prog, const sim::MachineParams&
   return result.total_time;
 }
 
-/// Full timing-only result (phase stats etc.) via the compiled path.
-inline sim::RunResult simulate_timing(const sim::Program& prog,
-                                      const sim::MachineParams& machine) {
-  return sim::Engine(machine).run_timing(sim::compile(prog, machine));
-}
-
-/// Simulated times for a batch of precompiled programs sharing one
-/// machine, via Engine::run_timing_batch (contiguous per-worker ranges,
-/// per-worker grow-only scratch).  Results land at the program's index;
-/// a program whose run is rejected by the fault model reports +inf.
-inline std::vector<double> simulated_times(
-    std::span<const sim::CompiledProgram* const> programs,
-    const sim::MachineParams& machine, int jobs = 0) {
-  if (jobs <= 0) jobs = sweep_jobs();
-  sim::BatchScratch batch;
-  sim::Engine(machine).run_timing_batch(programs, batch, jobs);
-  std::vector<double> times(programs.size(),
-                            std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    if (batch.runs[i].ok) times[i] = batch.runs[i].result.total_time;
+/// Router packets injected by a compiled program (each traverses its
+/// route).
+inline std::size_t total_packets(const sim::CompiledProgram& compiled) {
+  std::size_t packets = 0;
+  for (const auto& s : compiled.send_ops()) {
+    packets += compiled.machine().packets_for(
+        static_cast<std::size_t>(s.count) *
+        static_cast<std::size_t>(compiled.machine().element_bytes));
   }
-  return times;
+  return packets;
 }
 
 /// Metrics blocks recorded for the JSON dump (one per traced run).

@@ -15,16 +15,16 @@
 // The execution cases report packets/s (router packets traversing their
 // full route per wall-clock second).  A second table reports the
 // tuner's cold-search latency (no cache; build + compile + batched
-// timing measurement of the whole candidate space).  Every cell is the
-// median of five samples, each repeating its call for at least 20 ms
-// (see stage_seconds).  Run with --json to record the series tables
-// into BENCH_<binary>.json.
-#include <algorithm>
-#include <chrono>
+// timing measurement of the whole candidate space).  Both tables' cells
+// are timed in one bench::measure() schedule (measure.hpp).  Run with
+// --json to record the series tables into BENCH_<binary>.json.
+#include <deque>
+#include <functional>
 
 #include "bench_common.hpp"
 #include "core/transpose1d.hpp"
 #include "core/transpose2d.hpp"
+#include "sim/batch.hpp"
 #include "tune/tuner.hpp"
 
 namespace {
@@ -102,17 +102,6 @@ Workload& workload(int which) {
   }
 }
 
-/// Router packets injected by the program (each traverses its route).
-std::size_t total_packets(const sim::CompiledProgram& compiled) {
-  std::size_t packets = 0;
-  for (const auto& s : compiled.send_ops()) {
-    packets += compiled.machine().packets_for(
-        static_cast<std::size_t>(s.count) *
-        static_cast<std::size_t>(compiled.machine().element_bytes));
-  }
-  return packets;
-}
-
 sim::Program plan_workload(int which) {
   switch (which) {
     case 1: return make_cm_direct().program;
@@ -149,7 +138,7 @@ void BM_CompiledData(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.run(compiled, w.init).total_time);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(total_packets(compiled)));
+                          static_cast<int64_t>(bench::total_packets(compiled)));
 }
 BENCHMARK(BM_CompiledData)->DenseRange(0, kWorkloads - 1);
 
@@ -161,7 +150,7 @@ void BM_TimingOnly(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.run_timing(compiled).total_time);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(total_packets(compiled)));
+                          static_cast<int64_t>(bench::total_packets(compiled)));
 }
 BENCHMARK(BM_TimingOnly)->DenseRange(0, kWorkloads - 1);
 
@@ -178,64 +167,42 @@ void BM_TimingBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kBatch) *
-                          static_cast<int64_t>(total_packets(compiled)));
+                          static_cast<int64_t>(bench::total_packets(compiled)));
 }
 BENCHMARK(BM_TimingBatch)->DenseRange(0, kWorkloads - 1);
 
-/// Wall seconds per call of `fn` for the series table.  One timing run
-/// of the small workloads lasts 20-50 us, too short to time alone on a
-/// shared host, so each sample repeats the call until it has run for
-/// at least 20 ms and records the mean per call; the result is the
-/// median of `samples` such samples.
-template <class Fn>
-double stage_seconds(Fn fn, int samples = 5) {
-  constexpr double kMinSampleSeconds = 0.02;
-  std::vector<double> ts;
-  ts.reserve(static_cast<std::size_t>(samples));
-  for (int r = 0; r < samples; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    int calls = 0;
-    do {
-      fn();
-      ++calls;
-      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    } while (elapsed < kMinSampleSeconds);
-    ts.push_back(elapsed / calls);
-  }
-  std::sort(ts.begin(), ts.end());
-  return ts[ts.size() / 2];
-}
+/// One engine workload's timed state; cells hold references into it.
+struct EngineCells {
+  const Workload& w;
+  sim::Engine engine;
+  sim::CompiledProgram compiled;
+  std::vector<const sim::CompiledProgram*> batch_programs;
+  sim::BatchScratch batch;
+};
 
 void print_series() {
   const int jobs = bench::sweep_jobs();
   constexpr std::size_t kBatch = 32;
-  bench::Table t({"workload", "packets", "compile_ms", "compiled_data_ms", "timing_only_ms", "timing_pkts_per_s",
-                  "batch32_ms", "batch32_pkts_per_s"});
-  for (int which = 0; which < kWorkloads; ++which) {
-    Workload& w = workload(which);
-    const sim::Engine engine(w.machine);
-    const auto compiled = sim::compile(w.program, w.machine);
-    const std::size_t packets = total_packets(compiled);
-    const double c = stage_seconds([&] { sim::compile(w.program, w.machine); });
-    const double data = stage_seconds([&] { engine.run(compiled, w.init); });
-    const double timing = stage_seconds([&] { engine.run_timing(compiled); });
-    const std::vector<const sim::CompiledProgram*> programs(kBatch, &compiled);
-    sim::BatchScratch batch;
-    engine.run_timing_batch(programs, batch, jobs);  // warm the arenas
-    const double batched =
-        stage_seconds([&] { engine.run_timing_batch(programs, batch, jobs); });
-    t.row({w.name, std::to_string(packets), bench::ms(c), bench::ms(data),
-           bench::ms(timing),
-           bench::num(static_cast<double>(packets) / timing, 0),
-           bench::ms(batched),
-           bench::num(static_cast<double>(packets * kBatch) / batched, 0)});
-  }
-  t.print("Engine throughput: compile vs execution paths (wall-clock on this host)");
 
+  // std::deque: cells and batch_programs point into the elements.
+  std::deque<EngineCells> engines;
+  for (int which = 0; which < kWorkloads; ++which) {
+    const Workload& w = workload(which);
+    engines.push_back({w, sim::Engine(w.machine), sim::compile(w.program, w.machine), {}, {}});
+    engines.back().batch_programs.assign(kBatch, &engines.back().compiled);
+  }
+
+  std::vector<std::function<void()>> cells;
+  for (EngineCells& e : engines) {
+    cells.push_back([&e] { sim::compile(e.w.program, e.w.machine); });
+    cells.push_back([&e] { e.engine.run(e.compiled, e.w.init); });
+    cells.push_back([&e] { e.engine.run_timing(e.compiled); });
+    cells.push_back([&e, jobs] { e.engine.run_timing_batch(e.batch_programs, e.batch, jobs); });
+  }
   // Cold tuner search: no cache, so the full candidate space is built,
   // compiled and measured through run_timing_batch on --jobs workers.
-  bench::Table tt({"spec_pair", "candidates", "cold_search_ms", "winner"});
+  std::vector<std::string> spec_pairs;
+  std::vector<tune::TunedPlan> plans(2);  // the last search of each
   for (const int which : {0, 1}) {
     const int n = which ? 10 : 8;
     const int half = n / 2;
@@ -251,12 +218,35 @@ void print_series() {
         which ? sim::MachineParams::cm(n) : sim::MachineParams::ipsc(n);
     tune::TuneOptions topt;
     topt.jobs = jobs;
-    tune::TunedPlan plan;
-    const double cold = stage_seconds(
-        [&] { plan = tune::tune_transpose(before, after, machine, topt); });
-    tt.row({std::string(machine.name) + std::to_string(n) + "_2^" + std::to_string(lg),
-            std::to_string(plan.programs_measured), bench::ms(cold),
-            plan.choice.describe()});
+    spec_pairs.push_back(std::string(machine.name) + std::to_string(n) + "_2^" +
+                         std::to_string(lg));
+    cells.push_back([before, after, machine, topt, &plan = plans[which]] {
+      plan = tune::tune_transpose(before, after, machine, topt);
+    });
+  }
+  const std::vector<bench::Timing> timings = bench::measure(cells);
+
+  bench::Table t({"workload", "packets", "compile_ms", "compiled_data_ms", "timing_only_ms",
+                  "timing_pkts_per_s", "timing_pkts_per_s_iqr", "batch32_ms",
+                  "batch32_pkts_per_s", "batch32_pkts_per_s_iqr"});
+  const bench::Timing* cell = timings.data();
+  for (const EngineCells& e : engines) {
+    const double packets = static_cast<double>(bench::total_packets(e.compiled));
+    const bench::Spread timing = cell[2].rate(packets);
+    const bench::Spread batched = cell[3].rate(packets * kBatch);
+    t.row({e.w.name, bench::num(packets, 0), bench::ms(cell[0].time().median),
+           bench::ms(cell[1].time().median), bench::ms(cell[2].time().median),
+           bench::num(timing.median, 0), bench::num(timing.iqr, 0),
+           bench::ms(cell[3].time().median), bench::num(batched.median, 0),
+           bench::num(batched.iqr, 0)});
+    cell += 4;
+  }
+  t.print("Engine throughput: compile vs execution paths (wall-clock on this host)");
+
+  bench::Table tt({"spec_pair", "candidates", "cold_search_ms", "winner"});
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    tt.row({spec_pairs[i], std::to_string(plans[i].programs_measured),
+            bench::ms(cell[i].time().median), plans[i].choice.describe()});
   }
   tt.print("Tuner cold-search latency (no cache; batched measurement)");
 }

@@ -13,12 +13,14 @@
 //
 // Series 2 reports the wall-clock tuning cost (cold search vs the
 // per-stage plan-cache hit) — informational, not gated: it depends on
-// host load.
+// host load.  Every search is a cell of one bench::measure() schedule
+// (measure.hpp); the cold cell's last search also fills series 1.
 //
 // The google-benchmark cases measure the wall-clock cost of one full
 // verified pipeline run (plan + execute + per-stage placement checks)
 // on the compiled data-mode and timing paths.
-#include <chrono>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,10 +35,6 @@
 namespace {
 
 using namespace nct;
-
-double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
 
 struct Point {
   std::string label;    ///< row key: kernel@machine/matrix
@@ -59,88 +57,76 @@ std::vector<Point> series_points() {
   return pts;
 }
 
-struct KernelHandle {
+/// One point's kernel, with a cache each for its cold and its warm
+/// per-stage searches.
+struct PointCells {
+  const Point& point;
   std::unique_ptr<kernels::HsmmKernel> hsmm;
   std::unique_ptr<kernels::BoolmmKernel> boolmm;
   const kernels::Pipeline* pipeline = nullptr;
   sim::Memory entry;
-};
+  tune::PlanCache cold_cache, warm_cache;
+  kernels::TunedComposition tuned;  ///< the last cold search.
 
-KernelHandle make_kernel(const Point& p) {
-  KernelHandle h;
-  if (p.kernel == "hsmm") {
-    kernels::HsmmOptions opt;
-    opt.nm = p.matrix;
-    h.hsmm = std::make_unique<kernels::HsmmKernel>(p.machine, opt);
-    h.pipeline = &h.hsmm->pipeline();
-    h.entry = h.hsmm->initial_memory();
-  } else {
-    kernels::BoolmmOptions opt;
-    opt.nb = p.matrix;
-    h.boolmm = std::make_unique<kernels::BoolmmKernel>(p.machine, opt);
-    h.pipeline = &h.boolmm->pipeline();
-    h.entry = h.boolmm->initial_memory();
+  explicit PointCells(const Point& p) : point(p) {
+    if (p.kernel == "hsmm") {
+      kernels::HsmmOptions opt;
+      opt.nm = p.matrix;
+      hsmm = std::make_unique<kernels::HsmmKernel>(p.machine, opt);
+      pipeline = &hsmm->pipeline();
+      entry = hsmm->initial_memory();
+    } else {
+      kernels::BoolmmOptions opt;
+      opt.nb = p.matrix;
+      boolmm = std::make_unique<kernels::BoolmmKernel>(p.machine, opt);
+      pipeline = &boolmm->pipeline();
+      entry = boolmm->initial_memory();
+    }
   }
-  return h;
-}
 
-struct Row {
-  std::string label;
-  std::size_t stages = 0;
-  std::size_t comm_stages = 0;
-  double naive_s = 0.0;
-  double tuned_s = 0.0;
-  double cold_tune_wall_s = 0.0;
-  double warm_tune_wall_s = 0.0;
+  kernels::TunedComposition tune(tune::PlanCache& cache) const {
+    kernels::KernelTuneOptions topt;
+    topt.cache = &cache;
+    topt.jobs = bench::sweep_jobs();
+    return kernels::tune_pipeline(*pipeline, entry, topt);
+  }
 };
-
-Row measure_point(const Point& p) {
-  const KernelHandle h = make_kernel(p);
-  Row row;
-  row.label = p.label;
-  row.stages = h.pipeline->stages().size();
-
-  tune::PlanCache cache;
-  kernels::KernelTuneOptions topt;
-  topt.cache = &cache;
-  topt.jobs = bench::sweep_jobs();
-
-  auto t0 = std::chrono::steady_clock::now();
-  const kernels::TunedComposition tuned =
-      kernels::tune_pipeline(*h.pipeline, h.entry, topt);
-  row.cold_tune_wall_s = wall_seconds_since(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  (void)kernels::tune_pipeline(*h.pipeline, h.entry, topt);
-  row.warm_tune_wall_s = wall_seconds_since(t0);
-
-  row.comm_stages = tuned.stages.size();
-  row.naive_s = tuned.naive_seconds;
-  row.tuned_s = tuned.tuned_seconds;
-  return row;
-}
 
 void print_series() {
   const std::vector<Point> pts = series_points();
-  const std::vector<Row> rows =
-      bench::parallel_sweep(pts.size(), [&](std::size_t i) { return measure_point(pts[i]); });
+  // std::deque: the cells point into the elements.
+  std::deque<PointCells> points;
+  for (const Point& p : pts) points.emplace_back(p);
+
+  std::vector<std::function<void()>> cells;
+  for (PointCells& p : points) {
+    cells.push_back([&p] {
+      p.cold_cache.clear();
+      p.tuned = p.tune(p.cold_cache);
+    });
+    cells.push_back([&p] { p.tune(p.warm_cache); });
+  }
+  const std::vector<bench::Timing> timings = bench::measure(cells);
 
   {
     bench::Table t({"point", "stages", "comm", "naive_ms", "tuned_ms", "speedup"});
-    for (const Row& r : rows) {
-      t.row({r.label, std::to_string(r.stages), std::to_string(r.comm_stages),
-             bench::ms(r.naive_s), bench::ms(r.tuned_s),
-             bench::num(r.tuned_s > 0 ? r.naive_s / r.tuned_s : 0, 2)});
+    for (const PointCells& p : points) {
+      const double naive_s = p.tuned.naive_seconds, tuned_s = p.tuned.tuned_seconds;
+      t.row({p.point.label, std::to_string(p.pipeline->stages().size()),
+             std::to_string(p.tuned.stages.size()), bench::ms(naive_s), bench::ms(tuned_s),
+             bench::num(tuned_s > 0 ? naive_s / tuned_s : 0, 2)});
     }
     t.print("Kernel compositions: naive vs tuned (simulated comm seconds)");
   }
 
   {
     bench::Table t({"point", "cold_tune_ms", "warm_tune_ms", "speedup"});
-    for (const Row& r : rows) {
-      t.row({r.label, bench::ms(r.cold_tune_wall_s), bench::ms(r.warm_tune_wall_s),
-             bench::num(r.warm_tune_wall_s > 0 ? r.cold_tune_wall_s / r.warm_tune_wall_s : 0,
-                        1)});
+    const bench::Timing* cell = timings.data();
+    for (const PointCells& p : points) {
+      const double cold_s = cell[0].time().median, warm_s = cell[1].time().median;
+      cell += 2;
+      t.row({p.point.label, bench::ms(cold_s), bench::ms(warm_s),
+             bench::num(warm_s > 0 ? cold_s / warm_s : 0, 1)});
     }
     t.print("Kernel tuning cost: cold per-stage search vs plan-cache hit (wall clock)");
   }
@@ -183,11 +169,4 @@ BENCHMARK(BM_boolmm_pipeline_verified)->Arg(128)->Arg(256);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  nct::bench::parse_sweep_args(argc, argv);
-  print_series();
-  if (nct::bench::sweep_options().json) {
-    nct::bench::write_recorded_json(nct::bench::json_path_for(argv[0]));
-  }
-  return nct::bench::run_benchmarks(argc, argv);
-}
+NCT_BENCH_MAIN(print_series)

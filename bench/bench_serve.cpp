@@ -3,12 +3,14 @@
 // multi-tenant server and reports sustained requests/s plus the
 // p50/p95/p99 service latency.
 //
-// The run is split into epochs (drain() between them), so the printed
-// per-epoch series shows the plan cache warming up: epoch 1 serves
-// cost-model plans (all misses), later epochs serve background-tuned
-// plans (hit ratio climbs toward 1).  The gated "Serve throughput"
-// table carries one `total` row — requests_per_s (higher-better) and
-// p99_us (lower-better) feed tools/check_bench_regression.py; its
+// The stream is the one cell of a bench::measure() schedule
+// (measure.hpp): each call submits a share of it and drain()s.  The
+// untimed warm-up call serves cost-model plans (all misses) while the
+// background tuner searches; the timed rounds serve the tuned plans
+// (nct_serve's per-epoch table shows that warm-up).  The gated "Serve
+// throughput" table carries one `total` row: requests_per_s
+// (higher-better) and p99_us (lower-better) are medians over the timed
+// drains, one per round, and feed tools/check_bench_regression.py; its
 // program_hit_ratio column is the share of slots served from the
 // compiled-program cache (see serve/program_cache.hpp):
 //
@@ -17,7 +19,6 @@
 //
 // Extra driver flags (stripped with the shared --jobs/--json/--trace):
 //   --requests=N   total requests to push through (default 1,000,000)
-//   --epochs=E     drain() epochs the stream is split into (default 8)
 //   --tenants=T    tenants cycling through the stream (default 4)
 //   --seed=S       workload stream seed (default 1)
 #include <algorithm>
@@ -36,7 +37,6 @@ using namespace nct;
 
 struct ServeArgs {
   std::uint64_t requests = 1000000;
-  int epochs = 8;
   std::uint32_t tenants = 4;
   std::uint64_t seed = 1;
 };
@@ -52,8 +52,6 @@ void parse_serve_args(int& argc, char** argv) {
     const char* a = argv[i];
     if (std::strncmp(a, "--requests=", 11) == 0) {
       serve_args().requests = std::strtoull(a + 11, nullptr, 10);
-    } else if (std::strncmp(a, "--epochs=", 9) == 0) {
-      serve_args().epochs = std::atoi(a + 9);
     } else if (std::strncmp(a, "--tenants=", 10) == 0) {
       serve_args().tenants = static_cast<std::uint32_t>(std::strtoul(a + 10, nullptr, 10));
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
@@ -63,19 +61,6 @@ void parse_serve_args(int& argc, char** argv) {
     }
   }
   argc = out;
-}
-
-double percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  const std::size_t k = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(k), v.end());
-  return v[k];
-}
-
-double now_s() {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// Submit with closed-loop backpressure: synchronous rejects spin-wait
@@ -94,7 +79,6 @@ void submit_blocking(serve::Server& server, serve::Request r) {
 
 void print_series() {
   const ServeArgs& args = serve_args();
-  const int epochs = args.epochs < 1 ? 1 : args.epochs;
 
   serve::ServeOptions opt;
   opt.jobs = bench::sweep_jobs();
@@ -106,52 +90,37 @@ void print_series() {
   wopt.seed = args.seed;
   serve::Workload workload(wopt);
 
-  bench::Table per_epoch(
-      {"epoch", "requests", "requests_per_s", "p50_us", "p95_us", "p99_us", "hit_ratio"});
-  std::vector<double> all_lat;
-  all_lat.reserve(args.requests);
-  std::uint64_t total_served = 0;
-  const double t0 = now_s();
-
-  std::uint64_t remaining = args.requests;
-  for (int e = 0; e < epochs; ++e) {
-    const std::uint64_t quota = remaining / static_cast<std::uint64_t>(epochs - e);
-    remaining -= quota;
-    const double e0 = now_s();
+  // The warm-up and the timed rounds split the stream evenly; the
+  // warm-up also takes the remainder.  A round drains more than once
+  // only if one drain lasts under bench::kMinSampleSeconds.
+  constexpr std::uint64_t kDrains = bench::kRounds + 1;
+  const std::uint64_t per_drain = std::max<std::uint64_t>(1, args.requests / kDrains);
+  std::vector<std::vector<double>> latency;  // service seconds, per drain
+  const bench::Timing timing = bench::measure({[&] {
+    const std::uint64_t quota = per_drain + (latency.empty() ? args.requests % kDrains : 0);
     for (std::uint64_t k = 0; k < quota; ++k) submit_blocking(server, workload.next());
-    const std::vector<serve::Response> responses = server.drain();
-    const double es = now_s() - e0;
-
-    std::uint64_t hits = 0;
-    std::vector<double> lat;
-    lat.reserve(responses.size());
-    for (const serve::Response& r : responses) {
-      if (r.cache_hit) ++hits;
-      lat.push_back(r.service_seconds);
-      all_lat.push_back(r.service_seconds);
-    }
-    total_served += responses.size();
-    const double n = static_cast<double>(responses.size());
-    per_epoch.row({std::to_string(e + 1), std::to_string(responses.size()),
-                   bench::num(es > 0 ? n / es : 0.0, 0), bench::us(percentile(lat, 0.50)),
-                   bench::us(percentile(lat, 0.95)), bench::us(percentile(lat, 0.99)),
-                   bench::num(n > 0 ? static_cast<double>(hits) / n : 0.0, 3)});
-  }
-  const double total_s = now_s() - t0;
+    std::vector<double>& lat = latency.emplace_back();
+    for (const serve::Response& r : server.drain()) lat.push_back(r.service_seconds);
+  }}).front();
   server.stop();
   const serve::ServerStats st = server.stats();
 
-  per_epoch.print("Serve epochs: cache warm-up across drains");
-
-  bench::Table total(
-      {"workload", "requests", "requests_per_s", "p50_us", "p95_us", "p99_us",
-       "hit_ratio", "program_hit_ratio", "batches", "coalesced_max"});
-  total.row({"total", std::to_string(total_served),
-             bench::num(total_s > 0 ? static_cast<double>(total_served) / total_s : 0.0, 0),
-             bench::us(percentile(all_lat, 0.50)), bench::us(percentile(all_lat, 0.95)),
-             bench::us(percentile(all_lat, 0.99)), bench::num(st.hit_ratio(), 3),
-             bench::num(st.program_hit_ratio(), 3), std::to_string(st.batches),
-             std::to_string(st.coalesced_max)});
+  std::vector<double> p50, p95, p99;
+  for (std::size_t d = 1; d < latency.size(); ++d) {  // drain 0 is the warm-up
+    p50.push_back(bench::quantile(latency[d], 0.50));
+    p95.push_back(bench::quantile(latency[d], 0.95));
+    p99.push_back(bench::quantile(latency[d], 0.99));
+  }
+  const bench::Spread rate = timing.rate(static_cast<double>(per_drain));
+  const bench::Spread tail = bench::spread(p99);
+  bench::Table total({"workload", "requests", "requests_per_s", "requests_per_s_iqr", "p50_us",
+                      "p95_us", "p99_us", "p99_us_iqr", "hit_ratio", "program_hit_ratio",
+                      "batches", "coalesced_max"});
+  total.row({"total", std::to_string(st.completed), bench::num(rate.median, 0),
+             bench::num(rate.iqr, 0), bench::us(bench::spread(p50).median),
+             bench::us(bench::spread(p95).median), bench::us(tail.median), bench::us(tail.iqr),
+             bench::num(st.hit_ratio(), 3), bench::num(st.program_hit_ratio(), 3),
+             std::to_string(st.batches), std::to_string(st.coalesced_max)});
   total.print("Serve throughput");
 
   bench::recorded_metrics().push_back(

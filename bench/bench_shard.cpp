@@ -11,9 +11,9 @@
 // Two tables:
 //   * "Sharded engine throughput" (gated in CI via
 //     check_bench_regression.py --columns packets_per_s:+): the
-//     shards=1 rows only.  CI runners have a single core, so the
-//     multi-shard rows measure thread oversubscription, not speedup;
-//     gating them would institutionalise noise.  Its compiled_mb
+//     shards=1 rows only.  CI runners are shared VMs whose vCPU count
+//     and load vary, so the multi-shard rows time the runner as much
+//     as the code; gating them would gate noise.  Its compiled_mb
 //     (CompiledProgram::heap_bytes()) and scratch_mb (the ShardScratch's
 //     heap_bytes() after every shard count has run on it) columns are
 //     deterministic and gated on their own, at a tight tolerance.
@@ -21,13 +21,16 @@
 //     parallel-share / imbalance stats, so the scaling shape is
 //     recorded even where it is not gated.
 //
-// The bench also re-checks the subsystem's core contract on the real
+// Plan, compile and the run at every shard count, for both workloads,
+// are the cells of one bench::measure() schedule (measure.hpp).  The
+// bench also re-checks the subsystem's core contract on the real
 // 20-cube: the simulated time at every shard count must be
 // bit-identical to the shards=1 run, else it aborts with a nonzero
 // exit.  Run with --json to write BENCH_<binary>.json.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <functional>
 
 #include "bench_common.hpp"
 #include "core/transpose2d.hpp"
@@ -75,68 +78,80 @@ Workload make_mpt20() {
   return {"mpt20_direct", machine, std::move(prog)};
 }
 
-/// Router packets injected by the program (each traverses its route).
-std::size_t total_packets(const sim::CompiledProgram& compiled) {
-  std::size_t packets = 0;
-  for (const auto& s : compiled.send_ops()) {
-    packets += compiled.machine().packets_for(
-        static_cast<std::size_t>(s.count) *
-        static_cast<std::size_t>(compiled.machine().element_bytes));
-  }
-  return packets;
-}
+/// One shard count's run; `out` and `stats` keep the last call's.
+struct RunCell {
+  std::uint32_t shards;
+  topo::Partition part;
+  sim::RunResult out;
+  shard::ShardStats stats;
+};
 
-double wall() {
-  using namespace std::chrono;
-  return duration<double>(steady_clock::now().time_since_epoch()).count();
-}
+/// One workload, planned and compiled once for its run cells.
+struct WorkloadCells {
+  Workload (*make)();
+  Workload w = make();
+  sim::CompiledProgram compiled = sim::compile(w.program, w.machine);
+  shard::ShardEngine engine{w.machine};
+  shard::ShardScratch scratch;
+  std::vector<RunCell> runs;
+};
 
 void print_series() {
-  bench::Table gate({"workload", "packets", "plan_ms", "compile_ms", "run_ms",
-                     "packets_per_s", "compiled_mb", "scratch_mb"});
+  // std::deque: the cells point into the elements.
+  std::deque<WorkloadCells> workloads;
+  for (Workload (*make)() : {make_spt20, make_mpt20}) {
+    WorkloadCells& c = workloads.emplace_back(make);
+    const auto topology = topo::make_topology(c.w.machine.topology, c.w.machine.n);
+    for (const std::uint32_t shards : {1u, 2u, 4u, 8u})
+      c.runs.push_back({shards, topo::make_partition(*topology, shards), {}, {}});
+  }
+
+  std::vector<std::function<void()>> cells;
+  for (WorkloadCells& c : workloads) {
+    cells.push_back([&c] { c.make(); });
+    cells.push_back([&c] { sim::compile(c.w.program, c.w.machine); });
+    for (RunCell& r : c.runs) {
+      cells.push_back(
+          [&c, &r] { c.engine.run_timing(c.compiled, r.part, c.scratch, r.out, &r.stats); });
+    }
+  }
+  const std::vector<bench::Timing> timings = bench::measure(cells);
+
+  bench::Table gate({"workload", "packets", "plan_ms", "plan_ms_iqr", "compile_ms",
+                     "compile_ms_iqr", "run_ms", "packets_per_s", "packets_per_s_iqr",
+                     "compiled_mb", "scratch_mb"});
   bench::Table detail({"row", "shards", "windows", "parallel_share",
                        "imbalance", "run_ms", "packets_per_s"});
-
-  for (int which = 0; which < 2; ++which) {
-    const double t0 = wall();
-    Workload w = which ? make_mpt20() : make_spt20();
-    const double t1 = wall();
-    const auto compiled = sim::compile(w.program, w.machine);
-    const double t2 = wall();
-    const std::size_t packets = total_packets(compiled);
-    const auto topology = topo::make_topology(w.machine.topology, w.machine.n);
-    const shard::ShardEngine engine(w.machine);
-    shard::ShardScratch scratch;
-
-    double reference = 0.0, serial_run = 0.0;
-    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      const auto part = topo::make_partition(*topology, shards);
-      sim::RunResult out;
-      shard::ShardStats stats;
-      const double r0 = wall();
-      engine.run_timing(compiled, part, scratch, out, &stats);
-      const double elapsed = wall() - r0;
-      if (shards == 1u) {
-        reference = out.total_time;
-        serial_run = elapsed;
-      } else if (out.total_time != reference) {
+  const bench::Timing* cell = timings.data();
+  for (const WorkloadCells& c : workloads) {
+    const double packets = static_cast<double>(bench::total_packets(c.compiled));
+    const bench::Spread plan = cell[0].time();
+    const bench::Spread compile = cell[1].time();
+    cell += 2;
+    const bench::Timing& serial = *cell;
+    const double reference = c.runs.front().out.total_time;
+    for (const RunCell& r : c.runs) {
+      if (r.out.total_time != reference) {
         std::fprintf(stderr,
                      "FATAL: %s shards=%u total_time %.17g != shards=1 %.17g\n",
-                     w.name, shards, out.total_time, reference);
+                     c.w.name, r.shards, r.out.total_time, reference);
         std::exit(1);
       }
-      detail.row({std::string(w.name) + "/s" + std::to_string(shards),
-                  std::to_string(stats.shards), std::to_string(stats.windows),
-                  bench::num(stats.parallel_fraction() * 100.0, 1),
-                  bench::num(stats.imbalance(), 3), bench::ms(elapsed),
-                  bench::num(static_cast<double>(packets) / elapsed, 0)});
+      const bench::Timing& run = *cell++;
+      detail.row({std::string(c.w.name) + "/s" + std::to_string(r.shards),
+                  std::to_string(r.stats.shards), std::to_string(r.stats.windows),
+                  bench::num(r.stats.parallel_fraction() * 100.0, 1),
+                  bench::num(r.stats.imbalance(), 3), bench::ms(run.time().median),
+                  bench::num(run.rate(packets).median, 0)});
     }
     constexpr double kMiB = 1024.0 * 1024.0;
-    gate.row({w.name, std::to_string(packets), bench::ms(t1 - t0),
-              bench::ms(t2 - t1), bench::ms(serial_run),
-              bench::num(static_cast<double>(packets) / serial_run, 0),
-              bench::num(static_cast<double>(compiled.heap_bytes()) / kMiB, 2),
-              bench::num(static_cast<double>(scratch.heap_bytes()) / kMiB, 2)});
+    const bench::Spread rate = serial.rate(packets);
+    gate.row({c.w.name, bench::num(packets, 0), bench::ms(plan.median), bench::ms(plan.iqr),
+              bench::ms(compile.median), bench::ms(compile.iqr),
+              bench::ms(serial.time().median), bench::num(rate.median, 0),
+              bench::num(rate.iqr, 0),
+              bench::num(static_cast<double>(c.compiled.heap_bytes()) / kMiB, 2),
+              bench::num(static_cast<double>(c.scratch.heap_bytes()) / kMiB, 2)});
   }
 
   gate.print("Sharded engine throughput: 20-cube transpose end-to-end");
@@ -178,7 +193,7 @@ void BM_ShardedTiming(benchmark::State& state) {
     benchmark::DoNotOptimize(out.total_time);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(total_packets(c.compiled)));
+                          static_cast<int64_t>(bench::total_packets(c.compiled)));
 }
 BENCHMARK(BM_ShardedTiming)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 

@@ -3,9 +3,9 @@
 // Series 1: cold-tune vs cache-hit latency — wall-clock cost of a full
 // plan search (every finalist planned + measured on the timing engine)
 // against a warm PlanCache hit (deterministic re-plan, zero engine
-// runs), per machine model and cube size.  Each cell is the median of
-// at least five searches (more for fast problems, up to a quarter of a
-// second of searching), each on a fresh cache.
+// runs), per machine model and cube size, timed by bench::measure()
+// (measure.hpp).  A cold search clears its cache on every call; a warm
+// one hits the cache its warm-up call filled.
 //
 // Series 2: the tuned Fig 19 decision table — which of the 1D / 2D
 // layouts the measured search picks per cube size, with the winner's
@@ -14,8 +14,8 @@
 // --json writes BENCH_bench_tuner.json; CI gates its "Tuner latency"
 // cold_ms column (lower is better, tolerance 0.50) against the
 // checked-in BENCH_tune.json with tools/check_bench_regression.py.
-#include <algorithm>
-#include <chrono>
+#include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,73 +28,61 @@ namespace {
 
 using namespace nct;
 
-double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+tune::TuneOptions cached_options(tune::PlanCache* cache) {
+  tune::TuneOptions opt;
+  opt.cache = cache;
+  opt.jobs = bench::sweep_jobs();
+  return opt;
 }
 
-struct LatencyRow {
-  std::string problem;  ///< unique row key for the regression gate.
-  std::string machine;
-  int n = 0;
+/// One problem's cold and warm searches, each on its own cache.
+struct LatencyCells {
+  sim::MachineParams machine;
   int lg = 0;
-  double cold_s = 0.0;
-  double warm_s = 0.0;
-  std::size_t cold_measured = 0;
-  std::size_t warm_measured = 0;
+  tune::SpecPair pair = tune::fig_layout_2d(lg, machine.n);
+  tune::PlanCache cold_cache, warm_cache;
+  tune::Tuner cold{machine, cached_options(&cold_cache)};
+  tune::Tuner warm{machine, cached_options(&warm_cache)};
+  std::size_t cold_measured = 0, warm_measured = 0;
+
+  LatencyCells(const sim::MachineParams& m, int lg_) : machine(m), lg(lg_) {}
 };
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-LatencyRow tune_latency(const sim::MachineParams& m, int lg) {
-  constexpr int kMinRepeats = 5, kMaxRepeats = 200;
-  constexpr double kMinSeconds = 0.25;
-  const tune::SpecPair pair = tune::fig_layout_2d(lg, m.n);
-  LatencyRow row{m.name + std::to_string(m.n) + "_2^" + std::to_string(lg), m.name, m.n, lg,
-                 0, 0, 0, 0};
-  std::vector<double> cold_s, warm_s;
-  const auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < kMaxRepeats && (r < kMinRepeats || wall_seconds_since(start) < kMinSeconds);
-       ++r) {
-    tune::PlanCache cache;
-    tune::TuneOptions opt;
-    opt.cache = &cache;
-    opt.jobs = bench::sweep_jobs();
-    const tune::Tuner tuner(m, opt);
-
-    auto t0 = std::chrono::steady_clock::now();
-    const tune::TunedPlan cold = tuner.tune(pair.first, pair.second);
-    cold_s.push_back(wall_seconds_since(t0));
-    row.cold_measured = cold.programs_measured;
-
-    t0 = std::chrono::steady_clock::now();
-    const tune::TunedPlan warm = tuner.tune(pair.first, pair.second);
-    warm_s.push_back(wall_seconds_since(t0));
-    row.warm_measured = warm.programs_measured;
-  }
-  row.cold_s = median(cold_s);
-  row.warm_s = median(warm_s);
-  return row;
-}
 
 void print_series() {
   {
-    std::vector<LatencyRow> rows;
+    // std::deque: the cells and tuners point into the elements.
+    std::deque<LatencyCells> problems;
     for (const int lg : {10, 14, 18}) {
-      rows.push_back(tune_latency(sim::MachineParams::ipsc(4), lg));
-      rows.push_back(tune_latency(sim::MachineParams::cm(6), lg));
+      problems.emplace_back(sim::MachineParams::ipsc(4), lg);
+      problems.emplace_back(sim::MachineParams::cm(6), lg);
     }
     // Many nodes with a small block and packet sizes down to one
     // element: the shape where per-node pipelined builds add up.
-    rows.push_back(tune_latency(sim::MachineParams::cm(10), 16));
-    bench::Table t({"problem", "machine", "n", "lg2(PQ)", "cold_ms", "warm_ms", "speedup",
-                    "cold_measured", "warm_measured"});
-    for (const LatencyRow& r : rows) {
-      t.row({r.problem, r.machine, std::to_string(r.n), std::to_string(r.lg), bench::ms(r.cold_s),
-             bench::ms(r.warm_s), bench::num(r.warm_s > 0 ? r.cold_s / r.warm_s : 0, 1),
-             std::to_string(r.cold_measured), std::to_string(r.warm_measured)});
+    problems.emplace_back(sim::MachineParams::cm(10), 16);
+
+    std::vector<std::function<void()>> cells;
+    for (LatencyCells& p : problems) {
+      cells.push_back([&p] {
+        p.cold_cache.clear();
+        p.cold_measured = p.cold.tune(p.pair.first, p.pair.second).programs_measured;
+      });
+      cells.push_back(
+          [&p] { p.warm_measured = p.warm.tune(p.pair.first, p.pair.second).programs_measured; });
+    }
+    const std::vector<bench::Timing> timings = bench::measure(cells);
+
+    bench::Table t({"problem", "machine", "n", "lg2(PQ)", "cold_ms", "cold_ms_iqr", "warm_ms",
+                    "speedup", "cold_measured", "warm_measured"});
+    const bench::Timing* cell = timings.data();
+    for (const LatencyCells& p : problems) {
+      const bench::Spread cold = cell[0].time();
+      const double warm_s = cell[1].time().median;
+      cell += 2;
+      t.row({p.machine.name + std::to_string(p.machine.n) + "_2^" + std::to_string(p.lg),
+             p.machine.name, std::to_string(p.machine.n), std::to_string(p.lg),
+             bench::ms(cold.median), bench::ms(cold.iqr), bench::ms(warm_s),
+             bench::num(warm_s > 0 ? cold.median / warm_s : 0, 1),
+             std::to_string(p.cold_measured), std::to_string(p.warm_measured)});
     }
     t.print("Tuner latency: cold search vs plan-cache hit");
   }
@@ -147,14 +135,4 @@ BENCHMARK(BM_tune_cache_hit)->Arg(10)->Arg(14);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  nct::bench::parse_sweep_args(argc, argv);
-  if (nct::bench::sweep_options().trace_path.empty()) {
-    nct::bench::sweep_options().trace_path = nct::bench::trace_path_for(argv[0]);
-  }
-  print_series();
-  if (nct::bench::sweep_options().json) {
-    nct::bench::write_recorded_json(nct::bench::json_path_for(argv[0]));
-  }
-  return nct::bench::run_benchmarks(argc, argv);
-}
+NCT_BENCH_MAIN(print_series)

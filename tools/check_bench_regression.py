@@ -22,9 +22,12 @@ The default columns gate the engine-throughput bench
 bench is gated with
     --table "Serve throughput" --columns requests_per_s:+ p99_us:-
 
-Rows or columns that exist on only one side are reported but never
-fail the gate, so adding a workload or a column does not require
-regenerating the baseline in the same change.
+A row in the baseline that the new run lacks fails the gate: a renamed
+or dropped row would otherwise switch its own gate off unnoticed.  Rows
+that only the new run has, and columns on only one side (such as the
+ungated `_iqr` spreads), are reported but never fail the gate, so
+adding a workload or a column does not require regenerating the
+baseline in the same change.
 
 The tolerance can also be set with the NCT_BENCH_TOLERANCE environment
 variable (the command-line flag wins).  Baselines are host-specific:
@@ -32,7 +35,8 @@ after an intentional perf change or a runner upgrade, regenerate with
 the bench's --json flag and commit the new file.
 
 --self-test runs the checker against synthetic fixtures (pass, drop
-regression, rise regression, direction suffixes, missing table) and
+regression, rise regression, direction suffixes, missing table, a
+baseline row missing from the run, new rows and columns) and
 exits 0 only if every case behaves as documented; CI runs it so the
 gate itself is tested.
 """
@@ -61,25 +65,28 @@ def parse_columns(specs):
 
 
 def load_rows(path, table_prefix):
-    """Map row key (first cell) -> {column: value} for the named table."""
+    """(headers, {row key (first cell): {column: value}}) for the named
+    table."""
     with open(path) as f:
         doc = json.load(f)
     for table in doc.get("tables", []):
         if table.get("title", "").startswith(table_prefix):
             headers = table["headers"]
-            return {row[0]: dict(zip(headers, row)) for row in table["rows"]}
+            return headers, {row[0]: dict(zip(headers, row)) for row in table["rows"]}
     raise SystemExit(f"{path}: no table titled '{table_prefix}...'")
 
 
 def check(new_path, baseline_path, columns, table_prefix, tolerance):
-    new_rows = load_rows(new_path, table_prefix)
-    base_rows = load_rows(baseline_path, table_prefix)
+    new_headers, new_rows = load_rows(new_path, table_prefix)
+    base_headers, base_rows = load_rows(baseline_path, table_prefix)
 
     failures = []
+    missing = []
     compared = 0
     for name, base in sorted(base_rows.items()):
         if name not in new_rows:
-            print(f"note: workload '{name}' in baseline only, skipped")
+            print(f"{'MISSING':10s} {name:28s} in baseline, not in this run")
+            missing.append(name)
             continue
         new = new_rows[name]
         for col, higher_better in columns:
@@ -102,14 +109,23 @@ def check(new_path, baseline_path, columns, table_prefix, tolerance):
             )
     for name in sorted(set(new_rows) - set(base_rows)):
         print(f"note: workload '{name}' is new (no baseline), skipped")
+    for col in new_headers:
+        if col not in base_headers:
+            print(f"note: column '{col}' is new (no baseline), not compared")
+    for col in base_headers:
+        if col not in new_headers:
+            print(f"note: column '{col}' in baseline only, not compared")
 
     if compared == 0:
         raise SystemExit("no comparable metric cells: wrong files or columns?")
-    if failures:
-        print(
-            f"\nFAIL: {len(failures)} metric cell(s) beyond {tolerance:.0%} "
-            f"of baseline in the failing direction"
-        )
+    if failures or missing:
+        if failures:
+            print(
+                f"\nFAIL: {len(failures)} metric cell(s) beyond {tolerance:.0%} "
+                f"of baseline in the failing direction"
+            )
+        if missing:
+            print(f"\nFAIL: {len(missing)} baseline row(s) missing from this run")
         return 1
     print(f"\nPASS: {compared} metric cell(s) within {tolerance:.0%} of baseline")
     return 0
@@ -131,6 +147,14 @@ def self_test():
     same = dump("Serve throughput", headers, [["total", "1000", "50.0"]])
     slower = dump("Serve throughput", headers, [["total", "500", "50.0"]])
     higher_lat = dump("Serve throughput", headers, [["total", "1000", "90.0"]])
+    two_rows = dump(
+        "Serve throughput", headers, [["total", "1000", "50.0"], ["cold", "900", "60.0"]]
+    )
+    wider = dump(
+        "Serve throughput",
+        headers + ["requests_per_s_iqr"],
+        [["total", "1000", "50.0", "30"], ["fresh", "10", "900.0", "5"]],
+    )
     cols = parse_columns(["requests_per_s:+", "p99_us:-"])
 
     cases = [
@@ -142,6 +166,12 @@ def self_test():
         ("direction suffix honoured", higher_lat, base, parse_columns(["p99_us:+"]), 0),
         # Tolerance wide enough to absorb the drop.
         ("tolerance respected", slower, base, cols, None),
+        # A gated row that vanished (renamed or dropped) fails even
+        # though every row still present is within tolerance.
+        ("baseline row missing from run fails", same, two_rows, cols, 1),
+        # A row and a column that only the new run has are reported,
+        # never failed.
+        ("new row and column pass", wider, base, cols, 0),
     ]
 
     failed = []
@@ -160,7 +190,7 @@ def self_test():
     except SystemExit as e:
         print(f"ok: {e}")
 
-    for path in (base, same, slower, higher_lat):
+    for path in (base, same, slower, higher_lat, two_rows, wider):
         os.unlink(path)
 
     if failed:
